@@ -6,176 +6,9 @@ The package provides the bivector algebra, the irreducible decomposition,
 positive-isotropic-curvature style cone margins for either orientation,
 the quadratic curvature vector field with its ODE integrator, and the
 symmetry-group machinery (factor averages, lifts, boundary witnesses).
+
+The package re-exports nothing; import the submodules lambda2, curvature,
+cones, flow, group_actions and cli.
 """
 
-from .lambda2 import (
-    AD,
-    BASIS_LABELS,
-    HODGE_STAR,
-    MINUS_BASIS,
-    P_MINUS,
-    P_PLUS,
-    PLUS_BASIS,
-    bracket,
-    check_rotation,
-    from_so4,
-    haar_quaternion,
-    induced_map,
-    inner,
-    quat_mul,
-    quat_to_rot,
-    rot3_of_quat,
-    rot3_to_quat,
-    s3_minus,
-    s3_plus,
-    selfdual_basis,
-    to_so4,
-    wedge,
-)
-from .curvature import (
-    Decomposition,
-    MODEL_NAMES,
-    OperatorFormatError,
-    act,
-    assemble,
-    bianchi_defect,
-    bianchi_project,
-    decompose,
-    is_bianchi_valid,
-    model,
-    operator_from_json,
-    operator_to_json,
-    plus_block,
-    minus_block,
-    random_bianchi,
-    read_operator,
-    recompose,
-    ricci,
-    scalar,
-    wedge_sym,
-    write_operator,
-)
-from .cones import (
-    CONE_IDS,
-    ComplexBivector,
-    MembershipReport,
-    cone_margin,
-    in_wilking_set,
-    inradius,
-    isotropic_value,
-    membership,
-    min_isotropic,
-    pic_margin,
-    sample_wilking,
-    shift_to_margin,
-    two_positive_margin,
-    wilking_min,
-    wilking_value,
-)
-from .flow import (
-    FlowParams,
-    FlowTrajectory,
-    ProbeReport,
-    bilinear_b,
-    default_dt,
-    integrate,
-    invariance_probe,
-    q_vf,
-    sharp,
-    sharp_by_polarization,
-    sharp_quadratic_form,
-    trajectory_csv,
-    trajectory_snapshots,
-    write_trajectory_csv,
-)
-from .group_actions import (
-    FACTORS,
-    WitnessResult,
-    average,
-    exact_projection,
-    lift_selfdual_rotation,
-    maximality_witness,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AD",
-    "BASIS_LABELS",
-    "CONE_IDS",
-    "ComplexBivector",
-    "Decomposition",
-    "FACTORS",
-    "FlowParams",
-    "FlowTrajectory",
-    "HODGE_STAR",
-    "MembershipReport",
-    "MINUS_BASIS",
-    "MODEL_NAMES",
-    "OperatorFormatError",
-    "P_MINUS",
-    "P_PLUS",
-    "PLUS_BASIS",
-    "ProbeReport",
-    "WitnessResult",
-    "act",
-    "assemble",
-    "average",
-    "bianchi_defect",
-    "bianchi_project",
-    "bilinear_b",
-    "bracket",
-    "check_rotation",
-    "cone_margin",
-    "decompose",
-    "default_dt",
-    "exact_projection",
-    "from_so4",
-    "haar_quaternion",
-    "in_wilking_set",
-    "induced_map",
-    "inner",
-    "inradius",
-    "integrate",
-    "invariance_probe",
-    "is_bianchi_valid",
-    "isotropic_value",
-    "lift_selfdual_rotation",
-    "maximality_witness",
-    "membership",
-    "min_isotropic",
-    "minus_block",
-    "model",
-    "operator_from_json",
-    "operator_to_json",
-    "pic_margin",
-    "plus_block",
-    "q_vf",
-    "quat_mul",
-    "quat_to_rot",
-    "random_bianchi",
-    "read_operator",
-    "recompose",
-    "ricci",
-    "rot3_of_quat",
-    "rot3_to_quat",
-    "s3_minus",
-    "s3_plus",
-    "sample_wilking",
-    "scalar",
-    "selfdual_basis",
-    "sharp",
-    "sharp_by_polarization",
-    "sharp_quadratic_form",
-    "shift_to_margin",
-    "to_so4",
-    "trajectory_csv",
-    "trajectory_snapshots",
-    "two_positive_margin",
-    "wedge",
-    "wedge_sym",
-    "wilking_min",
-    "wilking_value",
-    "write_operator",
-    "write_trajectory_csv",
-]

@@ -34,10 +34,6 @@ def _emit(text, out):
         sys.stdout.write(text)
 
 
-def _load(path):
-    return curvature.read_operator(path)
-
-
 def cmd_models(args):
     r = curvature.model(args.name, args.scal)
     _emit(json.dumps(curvature.operator_to_json(r), indent=2) + "\n", args.out)
@@ -45,14 +41,14 @@ def cmd_models(args):
 
 
 def cmd_classify(args):
-    r = _load(args.infile)
+    r = curvature.read_operator(args.infile)
     report = cones.membership(r, tol=args.tol)
     sys.stdout.write(json.dumps(report.to_json(), indent=2) + "\n")
     return 0
 
 
 def cmd_decompose(args):
-    r = _load(args.infile)
+    r = curvature.read_operator(args.infile)
     d = curvature.decompose(r)
     doc = {
         "scal": d.scal,
@@ -70,7 +66,7 @@ def cmd_decompose(args):
 
 
 def cmd_flow(args):
-    r = _load(args.infile)
+    r = curvature.read_operator(args.infile)
     params = flow.FlowParams(
         t_max=args.t_max,
         dt=args.dt,
@@ -80,25 +76,19 @@ def cmd_flow(args):
         margin_floor=args.margin_floor,
     )
     traj = flow.integrate(r, params)
-    csv_text = flow.trajectory_csv(traj)
+    _emit(flow.trajectory_csv(traj), args.out)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(csv_text)
         sys.stdout.write(
             f"termination={traj.termination} samples={len(traj)} "
             f"t_final={traj.t[-1]:.17g} scal_final={traj.scal[-1]:.17g}\n"
         )
-    else:
-        sys.stdout.write(csv_text)
     if args.snapshots_out:
-        with open(args.snapshots_out, "w") as fh:
-            json.dump(flow.trajectory_snapshots(traj), fh, indent=2)
-            fh.write("\n")
+        _emit(json.dumps(flow.trajectory_snapshots(traj), indent=2) + "\n", args.snapshots_out)
     return 0
 
 
 def cmd_average(args):
-    r = _load(args.infile)
+    r = curvature.read_operator(args.infile)
     avg = group_actions.average(r, factor=args.factor, n=args.samples, seed=args.seed)
     proj = group_actions.exact_projection(r, factor=args.factor)
     doc = {
@@ -113,7 +103,7 @@ def cmd_average(args):
 
 
 def cmd_witness(args):
-    r = _load(args.infile)
+    r = curvature.read_operator(args.infile)
     result = group_actions.maximality_witness(r)
     _emit(json.dumps(result.to_json(), indent=2) + "\n", args.out)
     return 0
@@ -336,9 +326,6 @@ def main(argv=None):
         return 1
     try:
         return args.func(args)
-    except curvature.OperatorFormatError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
     except (ValueError, RuntimeError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

@@ -9,8 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import curvature, lambda2
-from .curvature import check_operator, decompose, require_bianchi_valid, scalar
+from . import lambda2
+from .curvature import require_bianchi_valid
 from .lambda2 import MINUS_BASIS, PAIR_I, PAIR_J, PLUS_BASIS
 
 CONE_IDS = ("scal", "ic_plus", "ic_minus", "ic")
@@ -29,17 +29,38 @@ def _check_sign(sign):
     return sign
 
 
+# Both eigenspace bases stacked, so the two Weyl blocks of an operator go
+# through a single eigvalsh call.
+_BASES = np.stack([PLUS_BASIS, MINUS_BASIS])
+_BASES_T = np.swapaxes(_BASES, -1, -2)
+
+
+def _margins(r):
+    """Margins of every tracked cone for a validated (..., 6, 6) stack; the
+    one kernel behind all margins in cones and flow.  A half-cone margin is
+    scal/6 minus the top Weyl eigenvalue, which is the top eigenvalue of the
+    raw 3x3 block less scal/12."""
+    s = 2.0 * np.trace(r, axis1=-2, axis2=-1)
+    blocks = _BASES_T @ r[..., None, :, :] @ _BASES
+    top = np.linalg.eigvalsh(blocks)[..., -1] - s[..., None] / 12.0
+    m = s[..., None] / 6.0 - top
+    return {"scal": s, "ic_plus": m[..., 0], "ic_minus": m[..., 1], "ic": m.min(axis=-1)}
+
+
+def _check_cone(cone):
+    if cone not in CONE_IDS:
+        raise ValueError(f"unknown cone {cone!r}; choose from {CONE_IDS}")
+
+
 def pic_margin(r, sign="+"):
     """Margin of the half-isotropic cone: scal/6 minus the top eigenvalue of
     the chosen Weyl block.  Positive means strictly inside."""
-    _check_sign(sign)
-    d = decompose(r)
-    w = d.wplus if sign == "+" else d.wminus
-    return d.scal / 6.0 - float(np.linalg.eigvalsh(w)[-1])
+    return cone_margin(r, "ic_plus" if _check_sign(sign) == "+" else "ic_minus")
 
 
 def two_positive_margin(m):
-    """Sum of the two lowest eigenvalues of a symmetric 3x3 form."""
+    """Sum of the two lowest eigenvalues of a symmetric 3x3 form; reference
+    route for pic_margin, which it equals on the plus or minus block."""
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")
@@ -49,25 +70,16 @@ def two_positive_margin(m):
 
 def cone_margin(r, cone):
     """Signed membership margin of one of the tracked cones."""
-    if cone == "scal":
-        return scalar(require_bianchi_valid(r))
-    if cone == "ic_plus":
-        return pic_margin(r, "+")
-    if cone == "ic_minus":
-        return pic_margin(r, "-")
-    if cone == "ic":
-        d = decompose(r)
-        top_p = float(np.linalg.eigvalsh(d.wplus)[-1])
-        top_m = float(np.linalg.eigvalsh(d.wminus)[-1])
-        return d.scal / 6.0 - max(top_p, top_m)
-    raise ValueError(f"unknown cone {cone!r}; choose from {CONE_IDS}")
+    _check_cone(cone)
+    return float(_margins(require_bianchi_valid(r))[cone])
 
 
 def shift_to_margin(r, cone, target):
     """Shift along the identity so the chosen cone margin equals target."""
-    m = cone_margin(r, cone)
-    t = (float(target) - m) / MARGIN_SLOPE[cone]
-    return check_operator(r) + t * np.eye(6)
+    _check_cone(cone)
+    r = require_bianchi_valid(r)
+    t = (float(target) - float(_margins(r)[cone])) / MARGIN_SLOPE[cone]
+    return r + t * np.eye(6)
 
 
 def default_boundary_tol(r):
@@ -113,34 +125,17 @@ def membership(r, tol=None):
     r = require_bianchi_valid(r)
     if tol is None:
         tol = default_boundary_tol(r)
-    d = decompose(r)
-    top_p = float(np.linalg.eigvalsh(d.wplus)[-1])
-    top_m = float(np.linalg.eigvalsh(d.wminus)[-1])
-    mp = d.scal / 6.0 - top_p
-    mm = d.scal / 6.0 - top_m
-    margins = {
-        "scal": d.scal,
-        "ic_plus": mp,
-        "ic_minus": mm,
-        "ic": min(mp, mm),
-    }
-    return MembershipReport(margins=margins, classification=_classify(mp, mm, tol), tol=tol)
+    margins = {c: float(m) for c, m in _margins(r).items()}
+    classification = _classify(margins["ic_plus"], margins["ic_minus"], tol)
+    return MembershipReport(margins=margins, classification=classification, tol=tol)
 
 
 def inradius(r, cone):
-    """Largest t with R - t Id still inside the cone (closed forms)."""
+    """Largest t with R - t Id still in the cone: margin / MARGIN_SLOPE."""
     m = cone_margin(r, cone)
     if m < -default_boundary_tol(r):
         raise ValueError(f"operator lies outside the {cone} cone (margin {m:.3e})")
-    d = decompose(r)
-    if cone == "scal":
-        return d.scal / 12.0
-    if cone == "ic_plus":
-        return (d.scal - 6.0 * float(np.linalg.eigvalsh(d.wplus)[-1])) / 12.0
-    if cone == "ic_minus":
-        return (d.scal - 6.0 * float(np.linalg.eigvalsh(d.wminus)[-1])) / 12.0
-    top = max(float(np.linalg.eigvalsh(d.wplus)[-1]), float(np.linalg.eigvalsh(d.wminus)[-1]))
-    return (d.scal - 6.0 * top) / 12.0
+    return m / MARGIN_SLOPE[cone]
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,8 @@ def _as_tensor(r):
 
 
 def bianchi_defect(r):
-    """Largest cyclic first-Bianchi sum over all basis 4-tuples."""
+    """Largest cyclic first-Bianchi sum over all basis 4-tuples.  Reference
+    route: the validity tests use the equal star trace 3 |star_component|."""
     t = _as_tensor(check_operator(r))
     cyc = t + np.transpose(t, (2, 0, 1, 3)) + np.transpose(t, (1, 2, 0, 3))
     return float(np.abs(cyc).max())
@@ -77,12 +78,12 @@ def bianchi_project(r):
 
 def is_bianchi_valid(r, tol=BIANCHI_TOL):
     r = check_operator(r)
-    return bianchi_defect(r) <= tol * (1.0 + np.linalg.norm(r))
+    return 3.0 * abs(star_component(r)) <= tol * (1.0 + np.linalg.norm(r))
 
 
 def require_bianchi_valid(r, tol=BIANCHI_TOL, name="R"):
     r = check_operator(r, name=name)
-    defect = bianchi_defect(r)
+    defect = 3.0 * abs(star_component(r))
     bound = tol * (1.0 + np.linalg.norm(r))
     if defect > bound:
         raise OperatorFormatError(
@@ -98,8 +99,11 @@ def scalar(r):
 
 def ricci(r):
     """Ricci morphism, <ric(x), y> = sum_i <R(x^e_i), y^e_i>."""
-    t = _as_tensor(check_operator(r))
-    return np.einsum("aibi->ab", t)
+    return _ricci(check_operator(r))
+
+
+def _ricci(r):
+    return np.einsum("aibi->ab", _as_tensor(r))
 
 
 def wedge_sym(a, b):
@@ -141,8 +145,8 @@ class Decomposition:
 def decompose(r, tol=BIANCHI_TOL):
     """Split a Bianchi-valid operator into its irreducible components."""
     r = require_bianchi_valid(r, tol=tol)
-    scal = scalar(r)
-    ric0 = ricci(r) - (scal / 4.0) * np.eye(4)
+    scal = 2.0 * float(np.trace(r))
+    ric0 = _ricci(r) - (scal / 4.0) * np.eye(4)
     wplus = plus_block(r) - (scal / 12.0) * np.eye(3)
     wminus = minus_block(r) - (scal / 12.0) * np.eye(3)
     return Decomposition(scal=scal, ric0=ric0, wplus=wplus, wminus=wminus)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import cones, curvature, lambda2
 from .curvature import check_operator, require_bianchi_valid, scalar
-from .lambda2 import AD, HODGE_STAR, MINUS_BASIS, PLUS_BASIS
+from .lambda2 import AD, HODGE_STAR
 
 TRAJECTORY_HEADER = "t,scal,margin_scal,margin_icplus,margin_icminus,margin_ic,norm"
 BIANCHI_DRIFT_TOL = 1e-8
@@ -55,7 +55,7 @@ def sharp_quadratic_form(r, eta, basis=None):
 
 def sharp_by_polarization(r, basis=None):
     """Sharp operator assembled entry by entry from the quadratic form,
-    <R# a, b> = (q(a+b) - q(a-b))/4.  Slow reference route."""
+    <R# a, b> = (q(a+b) - q(a-b))/4.  Slow reference route for sharp."""
     r = check_operator(r)
     eye = np.eye(6)
     s = np.zeros((6, 6))
@@ -69,8 +69,7 @@ def sharp_by_polarization(r, basis=None):
 
 def q_vf(r):
     """Right-hand side of the curvature ODE, Q(R) = R^2 + R#."""
-    r = require_bianchi_valid(r)
-    return r @ r + _sharp_raw(r)
+    return _q_raw(require_bianchi_valid(r))
 
 
 def _q_raw(r):
@@ -122,13 +121,9 @@ class FlowTrajectory:
         return len(self.t)
 
 
-def _fast_margins(r):
-    s = 2.0 * float(np.trace(r))
-    top_p = float(np.linalg.eigvalsh(PLUS_BASIS.T @ r @ PLUS_BASIS)[-1]) - s / 12.0
-    top_m = float(np.linalg.eigvalsh(MINUS_BASIS.T @ r @ MINUS_BASIS)[-1]) - s / 12.0
-    mp = s / 6.0 - top_p
-    mm = s / 6.0 - top_m
-    return {"scal": s, "ic_plus": mp, "ic_minus": mm, "ic": min(mp, mm)}
+# The margin kernel, bound at module level so integrate looks it up at call
+# time and a self-test can plant a wrong one (bench/selftest.py).
+_fast_margins = cones._margins
 
 
 def integrate(r0, params):
@@ -150,8 +145,7 @@ def integrate(r0, params):
     if dt >= params.t_max:
         raise ValueError("dt must be smaller than t_max")
     for cone in params.margin_cones:
-        if cone not in cones.CONE_IDS:
-            raise ValueError(f"unknown cone {cone!r} in margin_cones")
+        cones._check_cone(cone)
     scal0 = scalar(r)
     if params.normalize and scal0 <= 0.0:
         raise ValueError("normalization requires positive initial scalar curvature")
@@ -164,7 +158,7 @@ def integrate(r0, params):
     scals = []
 
     def record(rr):
-        m = _fast_margins(rr)
+        m = {c: float(v) for c, v in _fast_margins(rr).items()}  # floats, not 0-d views
         for c in cones.CONE_IDS:
             margins[c].append(m[c])
         nrm = float(np.linalg.norm(rr))
@@ -291,8 +285,7 @@ def invariance_probe(
     demonstrate that escapes are detected.  Trajectory k is driven by the
     substream (seed, k), so reports are reproducible per sample.
     """
-    if cone not in cones.CONE_IDS:
-        raise ValueError(f"unknown cone {cone!r}; choose from {cones.CONE_IDS}")
+    cones._check_cone(cone)
     if not 0.0 <= boundary_fraction <= 1.0:
         raise ValueError("boundary_fraction must lie in [0, 1]")
     if params is None:

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import curvature, lambda2
+from . import cones, curvature, lambda2
 from .curvature import act, assemble, decompose, require_bianchi_valid, scalar
 from .lambda2 import PLUS_BASIS
 
@@ -107,26 +107,26 @@ def maximality_witness(r):
     """Average an inadmissible projected operator into the Kaehler pattern.
 
     Project R to its scalar plus self-dual Weyl part E, require positive
-    scalar curvature and a negative two-positivity margin of the self-dual
-    block of E.  Rotating the eigenframe of that block a quarter turn about
-    its top eigenvector, lifted to SO(4) through lift_selfdual_rotation, and
-    averaging E with its pullback doubles up the lowest eigenvalue; shifting
-    by its absolute value kappa lands exactly on the boundary pattern of the
-    Kaehler model: self-dual block spectrum (s/4, 0, 0) and anti-self-dual
-    block (s/12) I for the resulting scalar curvature s.  scale is s/12, the
-    ratio to the unit sphere-normalized model.
+    scalar curvature and a two-positivity margin of the self-dual block of E
+    below -cones.default_boundary_tol(E), the band membership uses.  Rotating
+    the eigenframe of that block a quarter turn about its top eigenvector,
+    lifted to SO(4) through lift_selfdual_rotation, and averaging E with its
+    pullback doubles up the lowest eigenvalue; shifting by its absolute value
+    kappa lands exactly on the boundary pattern of the Kaehler model:
+    self-dual block spectrum (s/4, 0, 0) and anti-self-dual block (s/12) I
+    for the resulting scalar curvature s.  scale is s/12, the ratio to the
+    unit sphere-normalized model.
 
     When the two lowest eigenvalues already tie within tolerance the rotation
     is skipped and g is the identity.
     """
-    r = require_bianchi_valid(r)
     d = decompose(r)
     if d.scal <= 0.0:
         raise ValueError(f"witness needs positive scalar curvature, got {d.scal:.3e}")
     e = assemble(scal=d.scal, wplus=d.wplus)
     block = curvature.plus_block(e)
     mu, vecs = np.linalg.eigh(block)
-    if mu[0] + mu[1] >= 0.0:
+    if mu[0] + mu[1] >= -cones.default_boundary_tol(e):
         raise ValueError(
             "projected self-dual block is already two-nonnegative "
             f"(mu1+mu2 = {mu[0] + mu[1]:.3e}); nothing to witness"

@@ -196,7 +196,8 @@ QUAT_ONE = np.array([1.0, 0.0, 0.0, 0.0])
 def quat_to_rot(q1, q2):
     """Rotation x -> q1 x q2^(-1) of R^4 = H for unit quaternions q1, q2.
 
-    Columns are the images of the standard basis (1, i, j, k).
+    Columns are the images of the standard basis (1, i, j, k).  Reference
+    route for the batched _quat_to_rot_batch.
     """
     q1 = _check_unit_quaternion(q1, "q1")
     q2 = _check_unit_quaternion(q2, "q2")

@@ -1,6 +1,7 @@
 """Command line interface: subcommands, exit codes, and output stability."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -220,7 +221,15 @@ def test_witness_reports_inadmissible_input(capsys, op_path):
 # -- console entry point -------------------------------------------------------
 
 
-def test_module_invocation_end_to_end(tmp_path):
+@pytest.fixture
+def child_env(monkeypatch):
+    # a child interpreter imports the same halfpic as this one, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(paths))
+
+
+def test_module_invocation_end_to_end(tmp_path, child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "halfpic.cli", "models", "--name", "s3xr", "--scal", "1"],
         capture_output=True, text=True,
@@ -231,7 +240,7 @@ def test_module_invocation_end_to_end(tmp_path):
     )
 
 
-def test_missing_subcommand_exits_one():
+def test_missing_subcommand_exits_one(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "halfpic.cli"], capture_output=True, text=True
     )

@@ -6,6 +6,7 @@ import pytest
 
 from halfpic import cones
 from halfpic import curvature as cv
+from halfpic import flow
 from halfpic import lambda2 as l2
 
 
@@ -89,6 +90,45 @@ def test_shift_to_margin_is_exact(cone, target):
     r = _bianchi(4, norm=2.0)
     shifted = cones.shift_to_margin(r, cone, target)
     assert cones.cone_margin(shifted, cone) == pytest.approx(target, abs=1e-10)
+
+
+def _kernel_operators():
+    # random, large-norm, and exact-boundary operators (rotated cp2 and shifts)
+    rng = np.random.default_rng(11)
+    ops = [cv.random_bianchi(rng) for _ in range(20)]
+    ops += [cv.random_bianchi(rng, norm=1e6) for _ in range(20)]
+    for k in range(20):
+        g = l2.quat_to_rot(l2.haar_quaternion(rng), l2.haar_quaternion(rng))
+        ops.append(cv.act(g, cv.model(("cp2", "cp2bar")[k % 2], rng.uniform(0.1, 100.0))))
+        cone = ("ic_plus", "ic_minus", "ic")[k % 3]
+        ops.append(cones.shift_to_margin(cv.random_bianchi(rng, norm=1.0), cone, 0.0))
+    return ops
+
+
+def test_margin_kernel_stacked_equals_per_operator():
+    ops = _kernel_operators()
+    stacked = cones._margins(np.array(ops))
+    for cone in cones.CONE_IDS:
+        assert stacked[cone].shape == (len(ops),)
+        np.testing.assert_array_equal(
+            stacked[cone], [cones._margins(r)[cone] for r in ops]
+        )
+
+
+def test_margin_kernel_matches_the_block_route():
+    for r in _kernel_operators():
+        tol = 1e-12 * (1.0 + np.linalg.norm(r))
+        got = cones._margins(r)
+        plus = cones.two_positive_margin(cv.plus_block(r))
+        minus = cones.two_positive_margin(cv.minus_block(r))
+        want = {"scal": 2.0 * np.trace(r), "ic_plus": plus, "ic_minus": minus}
+        want["ic"] = min(plus, minus)
+        for cone in cones.CONE_IDS:
+            assert abs(got[cone] - want[cone]) <= tol
+
+
+def test_flow_margins_are_the_cones_kernel():
+    assert flow._fast_margins is cones._margins
 
 
 # -- membership ----------------------------------------------------------------

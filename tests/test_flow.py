@@ -189,12 +189,16 @@ def test_default_dt_shrinks_with_curvature():
 
 
 def test_trajectory_margins_match_the_cones_module():
+    # flow and cones share one margin kernel, so check against the trace and
+    # the two-positivity margins of the raw blocks instead
     traj = flow.integrate(_bianchi(10, norm=1.0), flow.FlowParams(t_max=0.01, dt=1e-3))
-    k = len(traj) - 1
-    for cone in cones.CONE_IDS:
-        assert traj.margins[cone][k] == pytest.approx(
-            cones.cone_margin(traj.operators[k], cone), abs=1e-10
-        )
+    for k, r in enumerate(traj.operators):
+        plus = cones.two_positive_margin(cv.plus_block(r))
+        minus = cones.two_positive_margin(cv.minus_block(r))
+        want = {"scal": 2.0 * np.trace(r), "ic_plus": plus, "ic_minus": minus}
+        want["ic"] = min(plus, minus)
+        for cone in cones.CONE_IDS:
+            assert traj.margins[cone][k] == pytest.approx(want[cone], abs=1e-10)
 
 
 # -- serialization -------------------------------------------------------------

@@ -205,6 +205,17 @@ def test_witness_rejects_already_two_nonnegative():
         ga.maximality_witness(np.eye(6))
 
 
+def test_witness_rejects_the_exact_boundary_like_membership(rng):
+    # rotated and rescaled cp2 sits exactly on the ic_plus boundary; rounding
+    # of either sign must not decide between "NNIC" and a witness
+    for _ in range(200):
+        g = l2.quat_to_rot(l2.haar_quaternion(rng), l2.haar_quaternion(rng))
+        r = cv.act(g, cv.model("cp2", rng.uniform(0.1, 100.0)))
+        assert cones.membership(r).classification == "NNIC"
+        with pytest.raises(ValueError, match="nothing to witness"):
+            ga.maximality_witness(r)
+
+
 def test_witness_json_layout():
     doc = ga.maximality_witness(_hand_instance()).to_json()
     assert set(doc) == {"witness", "kappa", "scale", "g"}
