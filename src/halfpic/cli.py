@@ -8,6 +8,7 @@ NO_COLOR convention is honored trivially.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -263,7 +264,9 @@ def cmd_verify(args):
     return 0 if failed == 0 else 2
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process and shared by every main call."""
     p = _Parser(prog="halfpic", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -318,9 +321,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

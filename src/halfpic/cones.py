@@ -142,9 +142,9 @@ def inradius(r, cone):
 # frame-based isotropic curvature
 
 
-def check_frame(f, tol=1e-12):
+def check_frame(f):
     """Validate an oriented orthonormal frame (special orthogonal 4x4)."""
-    f = lambda2.check_rotation(f, tol=tol, name="frame")
+    f = lambda2.check_rotation(f, name="frame")
     if np.linalg.det(f) < 0.0:
         raise ValueError("frame is orientation reversing; compose with a flip first")
     return f
@@ -184,7 +184,7 @@ def _project_rotation(m):
     return g
 
 
-def min_isotropic(r, sign="+", samples=10000, seed=0, polish=True, polish_steps=200):
+def min_isotropic(r, sign="+", samples=10000, seed=0, polish=True):
     """Minimum isotropic value over the frame manifold.
 
     Frames are sampled uniformly from SO(4) through pairs of Haar quaternions;
@@ -209,30 +209,32 @@ def min_isotropic(r, sign="+", samples=10000, seed=0, polish=True, polish_steps=
     f_best = float(vals[best])
     if not polish:
         return f_best
-    g = frames[best]
-    f_best = _polish_frame(r, g, flip, f_best, polish_steps)
-    return f_best
+    return _polish_frame(r, frames[best], flip, f_best)
 
 
-def _polish_frame(r, g, flip, f0, steps):
-    # Descend on SO(4); only the self-dual (flip=+1) or anti-self-dual
-    # (flip=-1) rotation directions move the objective.
-    dirs = [
-        lambda2.to_so4(w)
-        for w in lambda2.selfdual_basis("+" if flip > 0 else "-")
-    ]
+POLISH_STEPS = 200
+_POLISH_H = 1e-6
+
+
+def _polish_basis(sign):
+    # The so(4) directions X_k that rotate the sign eigenspace, the only ones
+    # that move the objective, and the probes I + h X_k, then I - h X_k.
+    x = np.stack([lambda2.to_so4(w) for w in lambda2.selfdual_basis(sign)])
+    return x, np.concatenate([np.eye(4) + _POLISH_H * x, np.eye(4) - _POLISH_H * x])
+
+
+_POLISH_BASES = {1.0: _polish_basis("+"), -1.0: _polish_basis("-")}
+
+
+def _polish_frame(r, g, flip, f0):
+    # Projected descent on SO(4); each gradient is one stacked objective call.
+    dirs, probes = _POLISH_BASES[flip]
     eye = np.eye(4)
-
-    def f_of(mat):
-        return float(_pair_values(r, mat[None], flip)[0])
-
     fval = f0
     step = 0.2
-    h = 1e-6
-    for _ in range(int(steps)):
-        grad = np.array(
-            [(f_of(g @ (eye + h * x)) - f_of(g @ (eye - h * x))) / (2.0 * h) for x in dirs]
-        )
+    for _ in range(POLISH_STEPS):
+        v = _pair_values(r, g @ probes, flip)
+        grad = (v[:3] - v[3:]) / (2.0 * _POLISH_H)
         gn = float(np.linalg.norm(grad))
         if gn < 1e-11 * (1.0 + abs(fval)):
             break
@@ -240,7 +242,7 @@ def _polish_frame(r, g, flip, f0, steps):
         moved = False
         while step > 1e-12:
             trial = _project_rotation(g @ (eye - step * direction))
-            ftrial = f_of(trial)
+            ftrial = float(_pair_values(r, trial[None], flip)[0])
             if ftrial < fval - 1e-10 * step * gn:
                 g = trial
                 fval = ftrial
@@ -272,29 +274,29 @@ class ComplexBivector:
                 raise ValueError(f"{label} must be a finite 6-vector")
 
 
-def in_wilking_set(omega, sign="+", tol=WILKING_TOL):
+def in_wilking_set(omega, sign="+"):
     """Membership in the zero-trace-square set inside the complexified Hodge
     eigenspace: both parts fixed by the projector, equal norms, orthogonal."""
     _check_sign(sign)
     p = lambda2.P_PLUS if sign == "+" else lambda2.P_MINUS
     re, im = omega.re, omega.im
-    scale = 1.0 + float(re @ re + im @ im)
-    if np.abs(p @ re - re).max() > tol * scale:
+    bound = WILKING_TOL * (1.0 + float(re @ re + im @ im))
+    if np.abs(p @ re - re).max() > bound:
         return False
-    if np.abs(p @ im - im).max() > tol * scale:
+    if np.abs(p @ im - im).max() > bound:
         return False
-    if abs(float(re @ re - im @ im)) > tol * scale:
+    if abs(float(re @ re - im @ im)) > bound:
         return False
-    if abs(float(re @ im)) > tol * scale:
+    if abs(float(re @ im)) > bound:
         return False
     return True
 
 
-def wilking_value(r, omega, tol=WILKING_TOL):
+def wilking_value(r, omega):
     """Hermitian evaluation <R re, re> + <R im, im>; rejects omega outside
     the set (either orientation)."""
     r = require_bianchi_valid(r)
-    if not (in_wilking_set(omega, "+", tol) or in_wilking_set(omega, "-", tol)):
+    if not (in_wilking_set(omega, "+") or in_wilking_set(omega, "-")):
         raise ValueError("omega is not in the Wilking set for either orientation")
     return float(omega.re @ r @ omega.re + omega.im @ r @ omega.im)
 

@@ -29,7 +29,7 @@ class OperatorFormatError(ValueError):
     """Raised when an operator payload fails structural validation."""
 
 
-def check_operator(r, tol=SYMMETRY_TOL, name="R"):
+def check_operator(r, name="R"):
     """Validate a symmetric 6x6 operator; returns it as a float array."""
     r = np.asarray(r, dtype=float)
     if r.shape != (6, 6):
@@ -37,8 +37,8 @@ def check_operator(r, tol=SYMMETRY_TOL, name="R"):
     if not np.all(np.isfinite(r)):
         raise OperatorFormatError(f"{name} has non-finite entries")
     scale = 1.0 + np.abs(r).max()
-    if np.abs(r - r.T).max() > tol * scale:
-        raise OperatorFormatError(f"{name} is not symmetric within {tol:g}")
+    if np.abs(r - r.T).max() > SYMMETRY_TOL * scale:
+        raise OperatorFormatError(f"{name} is not symmetric within {SYMMETRY_TOL:g}")
     return r
 
 
@@ -76,15 +76,15 @@ def bianchi_project(r):
     return r - star_component(r) * HODGE_STAR
 
 
-def is_bianchi_valid(r, tol=BIANCHI_TOL):
+def is_bianchi_valid(r):
     r = check_operator(r)
-    return 3.0 * abs(star_component(r)) <= tol * (1.0 + np.linalg.norm(r))
+    return 3.0 * abs(star_component(r)) <= BIANCHI_TOL * (1.0 + np.linalg.norm(r))
 
 
-def require_bianchi_valid(r, tol=BIANCHI_TOL, name="R"):
+def require_bianchi_valid(r, name="R"):
     r = check_operator(r, name=name)
     defect = 3.0 * abs(star_component(r))
-    bound = tol * (1.0 + np.linalg.norm(r))
+    bound = BIANCHI_TOL * (1.0 + np.linalg.norm(r))
     if defect > bound:
         raise OperatorFormatError(
             f"{name} violates the first Bianchi identity (defect {defect:.3e} > {bound:.3e})"
@@ -142,9 +142,9 @@ class Decomposition:
     wminus: np.ndarray
 
 
-def decompose(r, tol=BIANCHI_TOL):
+def decompose(r):
     """Split a Bianchi-valid operator into its irreducible components."""
-    r = require_bianchi_valid(r, tol=tol)
+    r = require_bianchi_valid(r)
     scal = 2.0 * float(np.trace(r))
     ric0 = _ricci(r) - (scal / 4.0) * np.eye(4)
     wplus = plus_block(r) - (scal / 12.0) * np.eye(3)

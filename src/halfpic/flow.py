@@ -19,12 +19,10 @@ import numpy as np
 
 from . import cones, curvature, lambda2
 from .curvature import check_operator, require_bianchi_valid, scalar
-from .lambda2 import AD, HODGE_STAR
+from .lambda2 import AD
 
 TRAJECTORY_HEADER = "t,scal,margin_scal,margin_icplus,margin_icminus,margin_ic,norm"
 BIANCHI_DRIFT_TOL = 1e-8
-
-TERMINATIONS = ("completed", "blowup", "margin_violation")
 
 
 def sharp(r):
@@ -39,21 +37,18 @@ def _sharp_raw(r):
     return (s + s.T) / 2.0
 
 
-def sharp_quadratic_form(r, eta, basis=None):
+def sharp_quadratic_form(r, eta):
     """Literal evaluation of the defining quadratic form at eta."""
     r = check_operator(r)
-    if basis is None:
-        basis = np.eye(6)
     total = 0.0
-    for i in range(6):
-        w = basis[:, i]
+    for w in np.eye(6):
         inner = lambda2.bracket(eta, r @ w)
         outer = lambda2.bracket(eta, r @ inner)
         total += float(outer @ w)
     return -0.5 * total
 
 
-def sharp_by_polarization(r, basis=None):
+def sharp_by_polarization(r):
     """Sharp operator assembled entry by entry from the quadratic form,
     <R# a, b> = (q(a+b) - q(a-b))/4.  Slow reference route for sharp."""
     r = check_operator(r)
@@ -61,8 +56,8 @@ def sharp_by_polarization(r, basis=None):
     s = np.zeros((6, 6))
     for a in range(6):
         for b in range(a, 6):
-            qp = sharp_quadratic_form(r, eye[:, a] + eye[:, b], basis)
-            qm = sharp_quadratic_form(r, eye[:, a] - eye[:, b], basis)
+            qp = sharp_quadratic_form(r, eye[:, a] + eye[:, b])
+            qm = sharp_quadratic_form(r, eye[:, a] - eye[:, b])
             s[a, b] = s[b, a] = (qp - qm) / 4.0
     return s
 
@@ -152,7 +147,7 @@ def integrate(r0, params):
 
     n_steps = int(np.floor(params.t_max / dt + 1e-9))
     ts = [0.0]
-    ops = [r.copy()]
+    ops = [r]
     margins = {c: [] for c in cones.CONE_IDS}
     norms = []
     scals = []
@@ -164,7 +159,7 @@ def integrate(r0, params):
         nrm = float(np.linalg.norm(rr))
         norms.append(nrm)
         scals.append(m["scal"])
-        drift = abs(np.trace(rr @ HODGE_STAR)) / 2.0
+        drift = 3.0 * abs(curvature.star_component(rr))
         if drift > BIANCHI_DRIFT_TOL * (1.0 + nrm):
             raise RuntimeError(f"Bianchi drift {drift:.3e} exceeded tolerance mid-flow")
         return m, nrm
@@ -183,7 +178,7 @@ def integrate(r0, params):
                 raise RuntimeError("scalar curvature became nonpositive under normalization")
             r = r * (scal0 / s_now)
         ts.append(k * dt)
-        ops.append(r.copy())
+        ops.append(r)
         m, nrm = record(r)
         if nrm > params.blowup_norm:
             termination = "blowup"

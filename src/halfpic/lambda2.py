@@ -103,13 +103,13 @@ def to_so4(b):
     return m
 
 
-def from_so4(m, tol=1e-12):
-    """Inverse of to_so4; rejects matrices that are not skew within tol."""
+def from_so4(m):
+    """Inverse of to_so4; rejects matrices that are not skew-symmetric."""
     m = np.asarray(m, dtype=float)
     if m.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
     scale = 1.0 + np.abs(m).max()
-    if np.abs(m + m.T).max() > tol * scale:
+    if np.abs(m + m.T).max() > ORTHOGONALITY_TOL * scale:
         raise ValueError("matrix is not skew-symmetric")
     return m[PAIR_J, PAIR_I].copy()
 
@@ -135,15 +135,15 @@ def _build_ad():
 AD = _build_ad()
 
 
-def check_rotation(g, tol=ORTHOGONALITY_TOL, name="g"):
+def check_rotation(g, name="g"):
     """Validate a 4x4 orthogonal matrix (det -1 allowed), return as array."""
     g = np.asarray(g, dtype=float)
     if g.shape != (4, 4):
         raise ValueError(f"{name} must be a 4x4 matrix, got shape {g.shape}")
     if not np.all(np.isfinite(g)):
         raise ValueError(f"{name} has non-finite entries")
-    if np.abs(g.T @ g - np.eye(4)).max() > tol:
-        raise ValueError(f"{name} is not orthogonal within {tol:g}")
+    if np.abs(g.T @ g - np.eye(4)).max() > ORTHOGONALITY_TOL:
+        raise ValueError(f"{name} is not orthogonal within {ORTHOGONALITY_TOL:g}")
     return g
 
 

@@ -172,6 +172,20 @@ def test_verify_rejects_unknown_suite(capsys):
     assert "invalid choice" in err
 
 
+def test_successive_main_calls_reuse_one_parser(tmp_path, capsys, op_path):
+    assert cli.build_parser() is cli.build_parser()
+    flow_args = ("flow", "--input", op_path, "--t-max", "0.01", "--dt", "1e-3",
+                 "--out", str(tmp_path / "traj.csv"))
+    code, out, _ = _run(capsys, *flow_args, "--margin-floor", "1e9")
+    assert code == 0 and "termination=margin_violation" in out
+    code, out, _ = _run(capsys, *flow_args)
+    assert code == 0 and "termination=completed" in out
+    code, _, err = _run(capsys, "models", "--name", "flat")
+    assert code == 1 and "invalid choice" in err
+    code, out, _ = _run(capsys, "models", "--name", "sphere")
+    assert code == 0 and out.startswith("{")
+
+
 # -- average / witness ---------------------------------------------------------
 
 

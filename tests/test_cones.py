@@ -236,12 +236,36 @@ def test_min_isotropic_anchors():
 
 
 def test_min_isotropic_matches_the_block_margin():
+    # unit norm, norm 1e6, and exactly on either half-cone boundary
     for seed in range(8):
-        r = _bianchi(seed, norm=1.0)
-        for sign, block in (("+", cv.plus_block(r)), ("-", cv.minus_block(r))):
-            want = 2.0 * cones.two_positive_margin(block)
-            got = cones.min_isotropic(r, sign, samples=4096, seed=seed)
-            assert got == pytest.approx(want, abs=1e-6)
+        base = _bianchi(seed, norm=1.0)
+        ops = [base, 1e6 * base]
+        ops += [cones.shift_to_margin(base, c, 0.0) for c in ("ic_plus", "ic_minus")]
+        for r in ops:
+            for sign, block in (("+", cv.plus_block(r)), ("-", cv.minus_block(r))):
+                want = 2.0 * cones.two_positive_margin(block)
+                got = cones.min_isotropic(r, sign, samples=4096, seed=seed)
+                assert got == pytest.approx(want, abs=1e-6 * (1.0 + np.linalg.norm(r)))
+
+
+def test_polish_gradient_is_one_stacked_objective_call(monkeypatch):
+    rows = []
+    pair_values = cones._pair_values
+
+    def counting(r, frames, flip):
+        rows.append(len(frames))
+        return pair_values(r, frames, flip)
+
+    monkeypatch.setattr(cones, "_pair_values", counting)
+    for sign in ("+", "-"):
+        rows.clear()
+        cones.min_isotropic(_bianchi(11, norm=1.0), sign, samples=512, seed=2)
+        assert rows[0] == 512  # the sampled frames
+        # then per step one 6-row gradient call, followed by 1-row line-search trials
+        polish = rows[1:]
+        assert polish[0] == 6 and polish.count(6) >= 2
+        assert set(polish) == {1, 6}
+        assert all(not (a == b == 6) for a, b in zip(polish, polish[1:]))
 
 
 def test_min_isotropic_polish_never_hurts():

@@ -167,6 +167,22 @@ def test_margin_floor_termination():
     assert traj.termination == "margin_violation"
 
 
+def test_trajectory_operators_are_independent_arrays():
+    r0 = _bianchi(21, norm=1.0)
+    traj = flow.integrate(r0, flow.FlowParams(t_max=0.01, dt=1e-3))
+    ops = [r0] + traj.operators
+    for a, b in zip(ops, ops[1:]):
+        assert not np.shares_memory(a, b)
+    np.testing.assert_array_equal(traj.operators[0], r0)
+
+
+def test_mid_flow_bianchi_drift_is_detected(monkeypatch):
+    # a vector field with a star component leaves the Bianchi subspace
+    monkeypatch.setattr(flow, "_q_raw", lambda r: l2.HODGE_STAR)
+    with pytest.raises(RuntimeError, match="Bianchi drift .* exceeded tolerance mid-flow"):
+        flow.integrate(np.eye(6), flow.FlowParams(t_max=0.01, dt=1e-3))
+
+
 def test_integrate_parameter_validation():
     r = np.eye(6)
     with pytest.raises(TypeError, match="FlowParams"):
