@@ -13,12 +13,13 @@ to near machine precision.
 from __future__ import annotations
 
 import io
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import cones, curvature, lambda2
-from .curvature import check_operator, require_bianchi_valid, scalar
+from .curvature import check_operator, require_bianchi_valid
 from .lambda2 import AD
 
 TRAJECTORY_HEADER = "t,scal,margin_scal,margin_icplus,margin_icminus,margin_ic,norm"
@@ -28,13 +29,19 @@ BIANCHI_DRIFT_TOL = 1e-8
 def sharp(r):
     """Sharp operator R#, symmetric 6x6 (structure-constant contraction)."""
     r = check_operator(r)
-    return _sharp_raw(r)
+    return _sharp_raw(r[None])[0]
+
+
+# AD[a] @ R for every a as one (36, 6) @ (6, 6) product
+_AD_ROWS = AD.reshape(36, 6)
 
 
 def _sharp_raw(r):
-    t = np.matmul(AD, r)
-    s = -0.5 * np.einsum("aij,bji->ab", t, t)
-    return (s + s.T) / 2.0
+    """R# of each operator of an (n, 6, 6) stack; -1/2 and the symmetrizing
+    1/2 are one exact scaling by -1/4."""
+    t = np.matmul(_AD_ROWS, r).reshape(len(r), 6, 6, 6)
+    s = np.einsum("naij,nbji->nab", t, t)
+    return -0.25 * (s + s.mT)
 
 
 def sharp_quadratic_form(r, eta):
@@ -64,10 +71,11 @@ def sharp_by_polarization(r):
 
 def q_vf(r):
     """Right-hand side of the curvature ODE, Q(R) = R^2 + R#."""
-    return _q_raw(require_bianchi_valid(r))
+    return _q_raw(require_bianchi_valid(r)[None])[0]
 
 
 def _q_raw(r):
+    """Q of an (n, 6, 6) stack."""
     return r @ r + _sharp_raw(r)
 
 
@@ -75,12 +83,14 @@ def bilinear_b(r, s):
     """Symmetric bilinear form with B(R, R) = Q(R), by polarization of Q."""
     r = require_bianchi_valid(r, name="R")
     s = require_bianchi_valid(s, name="S")
-    return 0.5 * (_q_raw(r + s) - _q_raw(r) - _q_raw(s))
+    q = _q_raw(np.stack([r + s, r, s]))
+    return 0.5 * (q[0] - q[1] - q[2])
 
 
 def default_dt(r0):
-    """Fixed step heuristic, 1e-3 shrunk per unit of initial scalar curvature."""
-    return 1e-3 / max(1.0, abs(scalar(r0)))
+    """Fixed step heuristic, 1e-3 shrunk per unit of initial scalar curvature;
+    one step per operator of a (..., 6, 6) stack."""
+    return 1e-3 / np.maximum(1.0, np.abs(2.0 * np.trace(r0, axis1=-2, axis2=-1)))
 
 
 @dataclass
@@ -116,9 +126,104 @@ class FlowTrajectory:
         return len(self.t)
 
 
-# The margin kernel, bound at module level so integrate looks it up at call
+# The margin kernel, bound at module level so the RK4 core looks it up at call
 # time and a self-test can plant a wrong one (bench/selftest.py).
 _fast_margins = cones._margins
+
+# trace(R HODGE_STAR) as one dot per flattened operator
+_STAR_FLAT = lambda2.HODGE_STAR.T.ravel()
+
+
+def _record(r, idx, params, sample):
+    """Check one sample of the running trajectories and hand it to sample.
+
+    Raises if an operator has drifted off the Bianchi subspace (drift
+    3|star component| = |trace(R HODGE_STAR)|/2).  Returns the blowup mask
+    and the mask of every early stop, blowup or a tracked margin under the
+    floor.
+    """
+    m = _fast_margins(r)
+    flat = r.reshape(len(r), 36)
+    nrm = np.sqrt(np.vecdot(flat, flat))
+    star_trace = flat @ _STAR_FLAT
+    over = np.abs(star_trace) > (2.0 * BIANCHI_DRIFT_TOL) * (1.0 + nrm)
+    if np.count_nonzero(over):
+        drift = 0.5 * abs(star_trace[over][0])
+        raise RuntimeError(f"Bianchi drift {drift:.3e} exceeded tolerance mid-flow")
+    sample(idx, r, m, nrm)
+    blowup = stop = nrm > params.blowup_norm
+    if params.margin_floor is not None:
+        for c in params.margin_cones:
+            stop = stop | (m[c] < params.margin_floor)
+    return blowup, stop
+
+
+def _step_factors(dt):
+    """h, h/2 and h/6 for the running trajectories: scalars when they share
+    one step, (m, 1, 1) columns otherwise."""
+    h = dt[0] if (dt == dt[0]).all() else dt[:, None, None]
+    return h, 0.5 * h, h / 6.0
+
+
+def _rk4(r, params, sample):
+    """Classical RK4 of dR/dt = Q(R) on a validated (n, 6, 6) stack.
+
+    Each trajectory has its own fixed step (default_dt unless params.dt is
+    set) and step count, and stops on its own.  sample(idx, r, m, nrm) gets
+    the operators, margins and norms of the trajectories still running, idx
+    their positions in the stack: at t=0 and after every step.  Returns the
+    termination and the step of each trajectory.
+    """
+    if not isinstance(params, FlowParams):
+        raise TypeError("params must be a FlowParams")
+    if params.t_max <= 0.0:
+        raise ValueError("t_max must be positive")
+    dt = default_dt(r) if params.dt is None else np.full(len(r), params.dt, dtype=float)
+    if (dt <= 0.0).any():
+        raise ValueError("dt must be positive")
+    if (dt >= params.t_max).any():
+        raise ValueError("dt must be smaller than t_max")
+    for cone in params.margin_cones:
+        cones._check_cone(cone)
+    if params.normalize:
+        scal0 = 2.0 * np.trace(r, axis1=-2, axis2=-1)
+        if (scal0 <= 0.0).any():
+            raise ValueError("normalization requires positive initial scalar curvature")
+
+    n_steps = [int(x) for x in np.floor(params.t_max / dt + 1e-9)]
+    steps, last = np.array(n_steps), min(n_steps)
+    terminations = ["completed"] * len(r)
+    idx = np.arange(len(r))
+    _record(r, idx, params, sample)  # no stop at t=0
+    h, half, sixth = _step_factors(dt)
+    k = 0
+    while True:
+        k += 1
+        k1 = _q_raw(r)
+        k2 = _q_raw(r + half * k1)
+        k3 = _q_raw(r + half * k2)
+        k4 = _q_raw(r + h * k3)
+        r = r + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if params.normalize:
+            s_now = 2.0 * np.trace(r, axis1=-2, axis2=-1)
+            if np.count_nonzero(s_now <= 0.0):
+                raise RuntimeError("scalar curvature became nonpositive under normalization")
+            r = r * (scal0[idx] / s_now)[:, None, None]
+        blowup, stop = _record(r, idx, params, sample)
+        if k < last and not np.count_nonzero(stop):
+            continue
+        done = stop | (steps == k)
+        for j in np.flatnonzero(done):
+            terminations[idx[j]] = (
+                "blowup" if blowup[j] else "margin_violation" if stop[j] else "completed"
+            )
+        keep = ~done
+        idx = idx[keep]
+        if not len(idx):
+            return terminations, dt
+        r, steps = r[keep], steps[keep]
+        h, half, sixth = _step_factors(dt[idx])
+        last = int(steps.min())
 
 
 def integrate(r0, params):
@@ -127,72 +232,25 @@ def integrate(r0, params):
     Optionally rescales after every step to hold the scalar curvature at its
     initial value.  Terminates early on norm blowup or, when a floor is
     configured, when a tracked margin falls below it.  Every sample is
-    re-verified Bianchi-valid within a drift tolerance.
+    re-verified Bianchi-valid within a drift tolerance.  The one-operator
+    case of the stacked integrator that invariance_probe runs.
     """
-    r = require_bianchi_valid(r0).copy()
-    if not isinstance(params, FlowParams):
-        raise TypeError("params must be a FlowParams")
-    if params.t_max <= 0.0:
-        raise ValueError("t_max must be positive")
-    dt = params.dt if params.dt is not None else default_dt(r)
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if dt >= params.t_max:
-        raise ValueError("dt must be smaller than t_max")
-    for cone in params.margin_cones:
-        cones._check_cone(cone)
-    scal0 = scalar(r)
-    if params.normalize and scal0 <= 0.0:
-        raise ValueError("normalization requires positive initial scalar curvature")
-
-    n_steps = int(np.floor(params.t_max / dt + 1e-9))
-    ts = [0.0]
-    ops = [r]
+    r = require_bianchi_valid(r0)[None]
+    ops = []
     margins = {c: [] for c in cones.CONE_IDS}
     norms = []
-    scals = []
 
-    def record(rr):
-        m = {c: float(v) for c, v in _fast_margins(rr).items()}  # floats, not 0-d views
+    def sample(idx, rr, m, nrm):
+        ops.append(rr[0].copy())
         for c in cones.CONE_IDS:
-            margins[c].append(m[c])
-        nrm = float(np.linalg.norm(rr))
-        norms.append(nrm)
-        scals.append(m["scal"])
-        drift = 3.0 * abs(curvature.star_component(rr))
-        if drift > BIANCHI_DRIFT_TOL * (1.0 + nrm):
-            raise RuntimeError(f"Bianchi drift {drift:.3e} exceeded tolerance mid-flow")
-        return m, nrm
+            margins[c].append(m[c].item(0))
+        norms.append(nrm.item(0))
 
-    m, nrm = record(r)
-    termination = "completed"
-    for k in range(1, n_steps + 1):
-        k1 = _q_raw(r)
-        k2 = _q_raw(r + 0.5 * dt * k1)
-        k3 = _q_raw(r + 0.5 * dt * k2)
-        k4 = _q_raw(r + dt * k3)
-        r = r + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if params.normalize:
-            s_now = 2.0 * float(np.trace(r))
-            if s_now <= 0.0:
-                raise RuntimeError("scalar curvature became nonpositive under normalization")
-            r = r * (scal0 / s_now)
-        ts.append(k * dt)
-        ops.append(r)
-        m, nrm = record(r)
-        if nrm > params.blowup_norm:
-            termination = "blowup"
-            break
-        if params.margin_floor is not None and any(
-            m[c] < params.margin_floor for c in params.margin_cones
-        ):
-            termination = "margin_violation"
-            break
-
+    (termination,), dt = _rk4(r, params, sample)
     return FlowTrajectory(
-        t=np.array(ts),
+        t=np.arange(len(ops)) * dt[0],
         operators=ops,
-        scal=np.array(scals),
+        scal=np.array(margins["scal"]),
         margins={c: np.array(v) for c, v in margins.items()},
         norm=np.array(norms),
         termination=termination,
@@ -278,7 +336,9 @@ def invariance_probe(
     sit at margin in [0, 1e-6], the rest uniformly in [margin_low,
     margin_high].  Negative bounds are allowed on purpose so the harness can
     demonstrate that escapes are detected.  Trajectory k is driven by the
-    substream (seed, k), so reports are reproducible per sample.
+    substream (seed, k), so reports are reproducible per sample.  All n
+    seeds run as one stacked integration, with the same numbers as n
+    separate integrate calls; only running minima are kept.
     """
     cones._check_cone(cone)
     if not 0.0 <= boundary_fraction <= 1.0:
@@ -287,9 +347,7 @@ def invariance_probe(
         params = FlowParams(t_max=0.05, dt=None, normalize=False)
     n = int(n)
     n_boundary = int(round(boundary_fraction * n))
-    minima = np.empty(n)
-    minima_norm = np.empty(n)
-    terminations = {}
+    seeds = []
     for k in range(n):
         rng = np.random.default_rng((seed, k))
         r0 = curvature.random_bianchi(rng, norm=1.0)
@@ -297,12 +355,16 @@ def invariance_probe(
             target = rng.uniform(0.0, 1e-6)
         else:
             target = rng.uniform(margin_low, margin_high)
-        r0 = cones.shift_to_margin(r0, cone, target)
-        traj = integrate(r0, params)
-        vals = traj.margins[cone]
-        minima[k] = vals.min()
-        minima_norm[k] = (vals / (1.0 + traj.norm)).min()
-        terminations[traj.termination] = terminations.get(traj.termination, 0) + 1
+        seeds.append(cones.shift_to_margin(r0, cone, target))
+    minima = np.full(n, np.inf)
+    minima_norm = np.full(n, np.inf)
+
+    def sample(idx, r, m, nrm):
+        vals = m[cone]
+        minima[idx] = np.minimum(minima[idx], vals)
+        minima_norm[idx] = np.minimum(minima_norm[idx], vals / (1.0 + nrm))
+
+    ends, _ = _rk4(np.stack(seeds), params, sample)
     worst = int(np.argmin(minima_norm))
     return ProbeReport(
         cone=cone,
@@ -314,5 +376,5 @@ def invariance_probe(
         worst_index=worst,
         worst_seed=(seed, worst),
         trajectory_minima=minima,
-        terminations=terminations,
+        terminations=dict(Counter(ends)),
     )

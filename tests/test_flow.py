@@ -85,7 +85,19 @@ def test_q_rejects_bianchi_violations():
         flow.q_vf(l2.HODGE_STAR)
 
 
+def test_stacked_q_matches_each_operator_alone():
+    ops = np.stack([_bianchi(seed, norm=10.0 ** (seed % 7 - 3)) for seed in range(14)])
+    q = flow._q_raw(ops)
+    for k in range(len(ops)):
+        np.testing.assert_array_equal(q[k], flow._q_raw(ops[k : k + 1])[0])
+        np.testing.assert_array_equal(q[k], flow.q_vf(ops[k]))
+
+
 def test_bilinear_b_polarizes_q():
+    for seed in range(5):
+        r, s = _bianchi(seed), _bianchi(seed + 50, norm=10.0)
+        want = 0.5 * (flow.q_vf(r + s) - flow.q_vf(r) - flow.q_vf(s))
+        np.testing.assert_array_equal(flow.bilinear_b(r, s), want)
     r, s = _bianchi(5), _bianchi(6)
     np.testing.assert_allclose(flow.bilinear_b(r, s), flow.bilinear_b(s, r), atol=1e-12)
     np.testing.assert_allclose(flow.bilinear_b(r, r), flow.q_vf(r), atol=1e-12)
@@ -204,6 +216,15 @@ def test_default_dt_shrinks_with_curvature():
     assert flow.default_dt(np.zeros((6, 6))) == pytest.approx(1e-3)
 
 
+def test_default_dt_of_a_stack_is_per_operator():
+    ops = [_bianchi(seed, norm=10.0 ** (seed % 5 - 2)) for seed in range(12)]
+    ops += [np.eye(6), -np.eye(6), np.zeros((6, 6))]
+    steps = flow.default_dt(np.stack(ops))
+    assert steps.shape == (len(ops),)
+    for k, r in enumerate(ops):
+        assert steps[k] == flow.default_dt(r) == 1e-3 / max(1.0, abs(cv.scalar(r)))
+
+
 def test_trajectory_margins_match_the_cones_module():
     # flow and cones share one margin kernel, so check against the trace and
     # the two-positivity margins of the raw blocks instead
@@ -279,9 +300,103 @@ def test_probe_worst_seed_replays():
     target = rng.uniform(0.0, 1e-6) if k < 3 else rng.uniform(0.0, 0.5)
     r0 = cones.shift_to_margin(r0, "ic", target)
     traj = flow.integrate(r0, flow.FlowParams(t_max=0.05))
-    assert traj.margins["ic"].min() == pytest.approx(
-        rep.trajectory_minima[k], abs=1e-12
+    assert traj.margins["ic"].min() == rep.trajectory_minima[k]
+
+
+def _probe_seeds(cone, n, seed, boundary_fraction=0.5, margin_low=0.0, margin_high=0.5):
+    # the probe's own seeds: substream (seed, k), same draw order
+    n_boundary = int(round(boundary_fraction * n))
+    out = []
+    for k in range(n):
+        rng = np.random.default_rng((seed, k))
+        r0 = cv.random_bianchi(rng, norm=1.0)
+        lo, hi = (0.0, 1e-6) if k < n_boundary else (margin_low, margin_high)
+        out.append(cones.shift_to_margin(r0, cone, rng.uniform(lo, hi)))
+    return out
+
+
+_PROBE_CASES = [(cone, {}) for cone in cones.CONE_IDS] + [
+    # with a floor, seeds that start outside stop at step 1 and the rest run
+    # to their own step counts; then a small blowup_norm, then normalize
+    ("ic_plus", dict(params=flow.FlowParams(t_max=0.05, margin_floor=0.0),
+                     boundary_fraction=0.25, margin_low=-0.02, margin_high=0.02)),
+    ("ic", dict(params=flow.FlowParams(t_max=0.05, margin_floor=0.0),
+                boundary_fraction=0.0, margin_low=-0.05, margin_high=0.05)),
+    ("ic_minus", dict(params=flow.FlowParams(t_max=0.2, blowup_norm=1.2))),
+    ("ic", dict(params=flow.FlowParams(t_max=0.05, normalize=True))),
+]
+
+
+def _serial_probe(cone, n, seed, kwargs):
+    # integrate on the probe's seeds, one at a time
+    kwargs = dict(kwargs)
+    params = kwargs.pop("params", flow.FlowParams(t_max=0.05))
+    minima, minima_norm, terminations, lengths = [], [], {}, []
+    for r0 in _probe_seeds(cone, n, seed, **kwargs):
+        traj = flow.integrate(r0, params)
+        vals = traj.margins[cone]
+        minima.append(vals.min())
+        minima_norm.append((vals / (1.0 + traj.norm)).min())
+        terminations[traj.termination] = terminations.get(traj.termination, 0) + 1
+        lengths.append(len(traj))
+    return minima, minima_norm, terminations, lengths
+
+
+@pytest.mark.parametrize("cone,kwargs", _PROBE_CASES)
+def test_probe_equals_one_integration_per_seed(cone, kwargs):
+    rep = flow.invariance_probe(cone, n=8, seed=4, **kwargs)
+    minima, minima_norm, terminations, _ = _serial_probe(cone, 8, 4, kwargs)
+    np.testing.assert_array_equal(rep.trajectory_minima, minima)
+    assert rep.min_margin == min(minima)
+    assert rep.min_margin_normalized == min(minima_norm)
+    assert rep.worst_index == int(np.argmin(minima_norm))
+    assert list(rep.terminations.items()) == list(terminations.items())
+
+
+def test_probe_cases_stop_trajectories_at_different_steps():
+    ends = set()
+    for cone, kwargs in _PROBE_CASES[len(cones.CONE_IDS):]:
+        _, _, terminations, lengths = _serial_probe(cone, 8, 4, kwargs)
+        assert len(set(lengths)) > 2
+        ends |= set(terminations)
+    assert ends == {"completed", "margin_violation", "blowup"}
+
+
+def test_stacked_core_samples_equal_integrate_per_trajectory():
+    # seeds in and out of the cone and at several norms: trajectories stop
+    # by blowup, by the floor, by both at once, or complete, at many steps
+    seeds = _probe_seeds("ic", 10, 5, boundary_fraction=0.2, margin_low=-2.0, margin_high=1.0)
+    params = flow.FlowParams(t_max=0.3, blowup_norm=1.6, margin_floor=0.0)
+    log = [[] for _ in seeds]
+
+    def sample(idx, r, m, nrm):
+        for j, i in enumerate(idx):
+            log[i].append((r[j].copy(), {c: m[c][j] for c in cones.CONE_IDS}, nrm[j]))
+
+    ends, dt = flow._rk4(np.stack(seeds), params, sample)
+    both = 0
+    for i, r0 in enumerate(seeds):
+        traj = flow.integrate(r0, params)
+        assert ends[i] == traj.termination
+        assert dt[i] == traj.t[1]
+        assert len(log[i]) == len(traj)
+        for k, (op, m, nrm) in enumerate(log[i]):
+            np.testing.assert_array_equal(op, traj.operators[k])
+            assert nrm == traj.norm[k]
+            assert m == {c: traj.margins[c][k] for c in cones.CONE_IDS}
+        both += traj.termination == "blowup" and min(log[i][-1][1].values()) < 0.0
+    assert set(ends) == {"completed", "margin_violation", "blowup"}
+    assert both  # blowup wins when the floor trips on the same step
+    assert len({len(entries) for entries in log}) > 2
+
+
+def test_probe_reads_margins_through_the_module_binding(monkeypatch):
+    base = flow.invariance_probe("ic", n=3, seed=1)
+    fast = flow._fast_margins
+    monkeypatch.setattr(
+        flow, "_fast_margins", lambda r: {c: m + 1.0 for c, m in fast(r).items()}
     )
+    assert flow.invariance_probe("ic", n=3, seed=1).min_margin == base.min_margin + 1.0
 
 
 def test_probe_parameter_validation():

@@ -48,6 +48,12 @@ def test_public_calls_validate_once(name, validations):
     assert len(validations) == 1
 
 
+def test_probe_validates_each_seed_once(validations):
+    # shift_to_margin validates each generated seed; the stacked flow does not
+    flow.invariance_probe("ic", n=4, seed=0)
+    assert len(validations) == 4
+
+
 @pytest.mark.parametrize("norm", [1.0, 1e6])
 @pytest.mark.parametrize("factor,valid", [(1.001, False), (0.999, True)])
 def test_star_trace_bound_matches_the_defect_route(norm, factor, valid):
