@@ -11,7 +11,7 @@ import numpy as np
 
 from . import lambda2
 from .curvature import require_bianchi_valid
-from .lambda2 import MINUS_BASIS, PAIR_I, PAIR_J, PLUS_BASIS
+from .lambda2 import MINUS_BASIS, PLUS_BASIS
 
 CONE_IDS = ("scal", "ic_plus", "ic_minus", "ic")
 
@@ -157,11 +157,7 @@ def _pair_values(r, frames, flip):
     f2 = frames[:, :, 1]
     f3 = frames[:, :, 2]
     f4 = flip * frames[:, :, 3]
-    i, j = PAIR_I, PAIR_J
-
-    def w(a, b):
-        return a[:, i] * b[:, j] - a[:, j] * b[:, i]
-
+    w = lambda2._wedge
     u = w(f1, f3) - w(f2, f4)
     v = w(f1, f4) + w(f2, f3)
     return np.einsum("ni,ij,nj->n", u, r, u) + np.einsum("ni,ij,nj->n", v, r, v)

@@ -113,13 +113,7 @@ def wedge_sym(a, b):
     b = np.asarray(b, dtype=float)
     if a.shape != (4, 4) or b.shape != (4, 4):
         raise ValueError("wedge_sym expects 4x4 arrays")
-    k = PAIR_I[:, None]
-    l = PAIR_J[:, None]
-    i = PAIR_I[None, :]
-    j = PAIR_J[None, :]
-    return 0.5 * (
-        a[k, i] * b[l, j] - a[l, i] * b[k, j] + b[k, i] * a[l, j] - b[l, i] * a[k, j]
-    )
+    return 0.5 * (lambda2._wedge_maps(a, b) + lambda2._wedge_maps(b, a))
 
 
 def plus_block(r):

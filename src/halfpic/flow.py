@@ -13,6 +13,7 @@ to near machine precision.
 from __future__ import annotations
 
 import io
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -158,6 +159,14 @@ def _record(r, idx, params, sample):
     return blowup, stop
 
 
+def _overflowed(r):
+    """Mask of the operators with a non-finite entry, None when there is none."""
+    if math.isfinite(np.vdot(r, r)):
+        return None
+    lost = ~np.isfinite(r).all(axis=(1, 2))
+    return lost if lost.any() else None
+
+
 def _step_factors(dt):
     """h, h/2 and h/6 for the running trajectories: scalars when they share
     one step, (m, 1, 1) columns otherwise."""
@@ -171,8 +180,10 @@ def _rk4(r, params, sample):
     Each trajectory has its own fixed step (default_dt unless params.dt is
     set) and step count, and stops on its own.  sample(idx, r, m, nrm) gets
     the operators, margins and norms of the trajectories still running, idx
-    their positions in the stack: at t=0 and after every step.  Returns the
-    termination and the step of each trajectory.
+    their positions in the stack: at t=0 and after every step.  A step that
+    overflows to a non-finite operator (numpy warns) ends its trajectory as
+    a blowup and is not sampled.  Returns the termination and the step of
+    each trajectory.
     """
     if not isinstance(params, FlowParams):
         raise TypeError("params must be a FlowParams")
@@ -204,13 +215,21 @@ def _rk4(r, params, sample):
         k3 = _q_raw(r + half * k2)
         k4 = _q_raw(r + h * k3)
         r = r + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        lost = _overflowed(r)
+        if lost is not None:
+            for j in np.flatnonzero(lost):
+                terminations[idx[j]] = "blowup"
+            idx, r, steps = idx[~lost], r[~lost], steps[~lost]
+            if not len(idx):
+                return terminations, dt
         if params.normalize:
             s_now = 2.0 * np.trace(r, axis1=-2, axis2=-1)
             if np.count_nonzero(s_now <= 0.0):
                 raise RuntimeError("scalar curvature became nonpositive under normalization")
             r = r * (scal0[idx] / s_now)[:, None, None]
         blowup, stop = _record(r, idx, params, sample)
-        if k < last and not np.count_nonzero(stop):
+        # after a loss, fall through to refresh the step factors and `last`
+        if k < last and not np.count_nonzero(stop) and lost is None:
             continue
         done = stop | (steps == k)
         for j in np.flatnonzero(done):

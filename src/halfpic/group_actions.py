@@ -46,11 +46,10 @@ def average(r, factor="left", n=10000, seed=0):
         raise ValueError("n must be positive")
     rng = np.random.default_rng(seed)
     q = lambda2.haar_quaternions(rng, n)
-    ones = np.tile(lambda2.QUAT_ONE, (n, 1))
     if factor == "left":
-        rots = lambda2._quat_to_rot_batch(ones, q)
+        rots = lambda2._right_mul(q * lambda2._CONJ)
     else:
-        rots = lambda2._quat_to_rot_batch(q, ones)
+        rots = lambda2._left_mul(q)
     ms = lambda2._induced_map_batch(rots)
     return curvature._act_average(ms, r)
 

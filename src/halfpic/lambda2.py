@@ -34,9 +34,22 @@ def _as_vector(v, dim, name):
 
 def wedge(u, v):
     """Wedge product of two 4-vectors as a bivector 6-vector."""
-    u = _as_vector(u, 4, "u")
-    v = _as_vector(v, 4, "v")
-    return u[PAIR_I] * v[PAIR_J] - u[PAIR_J] * v[PAIR_I]
+    return _wedge(_as_vector(u, 4, "u"), _as_vector(v, 4, "v"))
+
+
+def _wedge(u, v):
+    # (..., 4), (..., 4) -> (..., 6)
+    return u[..., PAIR_I] * v[..., PAIR_J] - u[..., PAIR_J] * v[..., PAIR_I]
+
+
+def _wedge_maps(a, b):
+    # (..., 4, 4), (..., 4, 4) -> (..., 6, 6), the matrix sending each basis
+    # bivector e_i^e_j to a e_i ^ b e_j; rows and columns follow the pair list.
+    k = PAIR_I[:, None]
+    l = PAIR_J[:, None]
+    i = PAIR_I[None, :]
+    j = PAIR_J[None, :]
+    return a[..., k, i] * b[..., l, j] - a[..., l, i] * b[..., k, j]
 
 
 def inner(a, b):
@@ -154,12 +167,8 @@ def induced_map(g):
 
 
 def _induced_map_batch(g):
-    # g: (n, 4, 4) -> (n, 6, 6); rows/cols indexed by the basis pair list.
-    k = PAIR_I[:, None]
-    l = PAIR_J[:, None]
-    i = PAIR_I[None, :]
-    j = PAIR_J[None, :]
-    return g[:, k, i] * g[:, l, j] - g[:, l, i] * g[:, k, j]
+    # (n, 4, 4) -> (n, 6, 6)
+    return _wedge_maps(g, g)
 
 
 def quat_mul(p, q):
@@ -178,9 +187,29 @@ def quat_mul(p, q):
     )
 
 
+_CONJ = np.array([1.0, -1.0, -1.0, -1.0])
+
+# Quaternion multiplication as 4x4 matrices: _left_mul(q) @ p = q p and
+# _right_mul(q) @ p = p q.  Entry (a, b) is a sign times q[_MUL_INDEX[a, b]].
+_MUL_INDEX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_LEFT_SIGN = np.array([[1.0, -1.0, -1.0, -1.0], [1.0, 1.0, -1.0, 1.0],
+                       [1.0, 1.0, 1.0, -1.0], [1.0, -1.0, 1.0, 1.0]])
+_RIGHT_SIGN = np.array([[1.0, -1.0, -1.0, -1.0], [1.0, 1.0, 1.0, -1.0],
+                        [1.0, -1.0, 1.0, 1.0], [1.0, 1.0, -1.0, 1.0]])
+
+
+def _left_mul(q):
+    # (..., 4) -> (..., 4, 4)
+    return q[..., _MUL_INDEX] * _LEFT_SIGN
+
+
+def _right_mul(q):
+    # (..., 4) -> (..., 4, 4)
+    return q[..., _MUL_INDEX] * _RIGHT_SIGN
+
+
 def quat_conj(q):
-    q = _as_vector(q, 4, "q")
-    return q * np.array([1.0, -1.0, -1.0, -1.0])
+    return _as_vector(q, 4, "q") * _CONJ
 
 
 def _check_unit_quaternion(q, name):
@@ -207,33 +236,8 @@ def quat_to_rot(q1, q2):
 
 
 def _quat_to_rot_batch(q1, q2):
-    # (n,4),(n,4) -> (n,4,4) without per-item python loops.
-    def lmat(q):
-        w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-        return np.stack(
-            [
-                np.stack([w, -x, -y, -z], axis=-1),
-                np.stack([x, w, -z, y], axis=-1),
-                np.stack([y, z, w, -x], axis=-1),
-                np.stack([z, -y, x, w], axis=-1),
-            ],
-            axis=-2,
-        )
-
-    def rmat(q):
-        w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-        return np.stack(
-            [
-                np.stack([w, -x, -y, -z], axis=-1),
-                np.stack([x, w, z, -y], axis=-1),
-                np.stack([y, -z, w, x], axis=-1),
-                np.stack([z, y, -x, w], axis=-1),
-            ],
-            axis=-2,
-        )
-
-    q2c = q2 * np.array([1.0, -1.0, -1.0, -1.0])
-    return lmat(q1) @ rmat(q2c)
+    # (n, 4), (n, 4) -> (n, 4, 4), the batch of quat_to_rot
+    return _left_mul(q1) @ _right_mul(q2 * _CONJ)
 
 
 # Frozen factor assignment, validated by the build-time tests against
@@ -255,7 +259,12 @@ def s3_minus(q):
 
 
 def haar_quaternion(rng):
-    """One Haar-uniform unit quaternion (normalized 4d Gaussian, no rejection)."""
+    """One Haar-uniform unit quaternion (normalized 4d Gaussian, no rejection).
+
+    The one-draw reference for the stream order of haar_quaternions: n calls
+    consume the generator exactly like one batch of n (the values may differ
+    in the last ulp, since the batch normalizes rows of a stacked draw).
+    """
     v = rng.standard_normal(4)
     return v / np.linalg.norm(v)
 

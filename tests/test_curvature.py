@@ -103,6 +103,15 @@ def test_wedge_sym_of_the_metric_is_the_identity():
     np.testing.assert_allclose(cv.wedge_sym(np.eye(4), np.eye(4)), np.eye(6), atol=0)
 
 
+def test_wedge_sym_is_the_symmetrized_wedge_of_images(rng):
+    # the definition, (A^B)(x^y) = (Ax^By + Bx^Ay)/2, for general 4x4 maps
+    for _ in range(10):
+        a, b = rng.standard_normal((2, 4, 4))
+        x, y = rng.standard_normal((2, 4))
+        want = 0.5 * (l2.wedge(a @ x, b @ y) + l2.wedge(b @ x, a @ y))
+        np.testing.assert_allclose(cv.wedge_sym(a, b) @ l2.wedge(x, y), want, atol=1e-12)
+
+
 def test_wedge_sym_ricci_contraction(rng):
     for _ in range(10):
         a = rng.standard_normal((4, 4))

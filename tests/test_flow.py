@@ -169,6 +169,49 @@ def test_blowup_termination():
     assert len(traj) < 101
 
 
+def _overflowing_seed():
+    # the norm outruns a huge blowup_norm: the third RK4 step overflows
+    return _bianchi(0, norm=1e5) + 1e5 * np.eye(6)
+
+
+_OVERFLOW_PARAMS = flow.FlowParams(t_max=1e-3, dt=1e-5, blowup_norm=1e300)
+
+
+def test_a_non_finite_step_ends_as_blowup():
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        traj = flow.integrate(_overflowing_seed(), _OVERFLOW_PARAMS)
+    assert traj.termination == "blowup"
+    assert 1 < len(traj) < 101
+    assert all(np.isfinite(op).all() for op in traj.operators)
+    for values in (traj.t, traj.scal, traj.norm, *traj.margins.values()):
+        assert len(values) == len(traj)
+        assert np.isfinite(values).all()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_an_overflowing_trajectory_leaves_its_stack_mates_alone():
+    # the default steps differ, and the mate (flowing towards 0) still runs
+    # when the other trajectory's step overflows, so its step factors change
+    seeds = [_bianchi(1, norm=1.0) - 5e4 * np.eye(6), _overflowing_seed()]
+    params = flow.FlowParams(t_max=7e-6, blowup_norm=1e300)
+    log = [[] for _ in seeds]
+
+    def sample(idx, r, m, nrm):
+        for j, i in enumerate(idx):
+            log[i].append((r[j].copy(), {c: m[c][j] for c in cones.CONE_IDS}, nrm[j]))
+
+    ends, _ = flow._rk4(np.stack(seeds), params, sample)
+    assert ends == ["completed", "blowup"]
+    assert len(log[0]) > len(log[1])
+    for i, r0 in enumerate(seeds):
+        traj = flow.integrate(r0, params)
+        assert len(log[i]) == len(traj)
+        for k, (op, m, nrm) in enumerate(log[i]):
+            np.testing.assert_array_equal(op, traj.operators[k])
+            assert nrm == traj.norm[k]
+            assert m == {c: traj.margins[c][k] for c in cones.CONE_IDS}
+
+
 def test_margin_floor_termination():
     # a strictly PIC- operator trips an ic_plus floor immediately
     r0 = cones.shift_to_margin(cv.model("cp2", 12.0), "ic_plus", -1.0)

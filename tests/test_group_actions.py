@@ -84,6 +84,17 @@ def test_average_approaches_the_projection(factor):
     assert err <= 18.0 / np.sqrt(20000)
 
 
+@pytest.mark.parametrize("n", [1, 7, 500])
+@pytest.mark.parametrize("factor, lift", [("left", l2.s3_minus), ("right", l2.s3_plus)])
+def test_average_is_the_mean_over_its_factor(factor, lift, n):
+    # reference route: one act per Haar quaternion of the same stream
+    for seed, r in enumerate([_bianchi(5, norm=1.0), _bianchi(6, norm=1e6), cv.model("cp2bar")]):
+        qs = l2.haar_quaternions(np.random.default_rng(seed), n)
+        want = np.mean([cv.act(lift(q), r) for q in qs], axis=0)
+        got = ga.average(r, factor, n=n, seed=seed)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * (1.0 + np.linalg.norm(r)))
+
+
 def test_average_error_decays_with_n():
     errs_small, errs_big = [], []
     for seed in range(6):

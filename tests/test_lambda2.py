@@ -209,10 +209,24 @@ def test_induced_map_rejects_non_orthogonal():
 
 
 def test_batch_induced_map_matches_single(rng):
+    # column e_i^e_j of each item is the wedge of the images g e_i, g e_j
     gs = np.stack([l2.quat_to_rot(_unit_quat(rng), _unit_quat(rng)) for _ in range(5)])
     batch = l2._induced_map_batch(gs)
+    e = np.eye(4)
     for k in range(5):
-        np.testing.assert_allclose(batch[k], l2.induced_map(gs[k]), atol=0)
+        for col, (i, j) in enumerate(zip(l2.PAIR_I, l2.PAIR_J)):
+            np.testing.assert_array_equal(batch[k][:, col], l2.wedge(gs[k] @ e[i], gs[k] @ e[j]))
+
+
+def test_wedge_kernels_act_item_by_item_on_stacks(rng):
+    u, v = rng.standard_normal((2, 2, 3, 4))
+    a, b = rng.standard_normal((2, 2, 3, 4, 4))
+    w = l2._wedge(u, v)
+    maps = l2._wedge_maps(a, b)
+    assert w.shape == (2, 3, 6) and maps.shape == (2, 3, 6, 6)
+    for s in np.ndindex(2, 3):
+        np.testing.assert_array_equal(w[s], l2._wedge(u[s], v[s]))
+        np.testing.assert_array_equal(maps[s], l2._wedge_maps(a[s], b[s]))
 
 
 # -- quaternions --------------------------------------------------------------
@@ -261,6 +275,15 @@ def test_batch_quat_to_rot_matches_single(rng):
     batch = l2._quat_to_rot_batch(q1, q2)
     for k in range(6):
         np.testing.assert_allclose(batch[k], l2.quat_to_rot(q1[k], q2[k]), atol=1e-15)
+
+
+def test_multiplication_matrices_match_the_hamilton_product(rng):
+    qs, ps = rng.standard_normal((2, 20, 4))
+    for q, p in zip(qs, ps):
+        np.testing.assert_allclose(l2._left_mul(q) @ p, l2.quat_mul(q, p), atol=1e-14)
+        np.testing.assert_allclose(l2._right_mul(q) @ p, l2.quat_mul(p, q), atol=1e-14)
+    np.testing.assert_array_equal(l2._left_mul(qs)[3], l2._left_mul(qs[3]))
+    np.testing.assert_array_equal(l2._right_mul(qs)[3], l2._right_mul(qs[3]))
 
 
 def test_haar_batch_matches_sequential_draws():

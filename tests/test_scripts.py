@@ -32,3 +32,16 @@ def test_averaging_decay_runs(capsys):
     assert code == 0
     assert lines[0] == "n,gmean_error,ratio_to_prev"
     assert [line.split(",")[0] for line in lines[1:]] == ["200", "800"]
+
+
+def test_golden_outputs_are_reproducible(tmp_path):
+    golden = _load("golden_outputs")
+    trees = []
+    for name in ("a", "b"):
+        assert golden.main([str(tmp_path / name)]) == 0
+        root = tmp_path / name
+        trees.append({p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()})
+    assert trees[0] == trees[1]
+    files = {str(p) for p in trees[0]}
+    assert {"verify/averaging.txt", "cp2/flow.csv", "models/sphere.json"} <= files
+    assert trees[0][Path("witness_eligible/witness.txt")].startswith(b"exit 0\n")
