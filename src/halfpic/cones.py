@@ -172,12 +172,12 @@ def isotropic_value(r, frame):
 
 
 def _project_rotation(m):
+    # Nearest rotation to each matrix of a (..., 4, 4) stack: the polar factor
+    # from the SVD, with the last left singular vector flipped where it would
+    # reverse orientation.
     u, _, vt = np.linalg.svd(m)
-    g = u @ vt
-    if np.linalg.det(g) < 0.0:
-        u[:, -1] = -u[:, -1]
-        g = u @ vt
-    return g
+    u[..., -1] *= np.where(np.linalg.det(u @ vt) < 0.0, -1.0, 1.0)[..., None]
+    return u @ vt
 
 
 def min_isotropic(r, sign="+", samples=10000, seed=0, polish=True):
@@ -208,8 +208,9 @@ def min_isotropic(r, sign="+", samples=10000, seed=0, polish=True):
     return _polish_frame(r, frames[best], flip, f_best)
 
 
-POLISH_STEPS = 200
+POLISH_STEPS = 1000
 _POLISH_H = 1e-6
+_LINE_TRIALS = 4
 
 
 def _polish_basis(sign):
@@ -223,13 +224,16 @@ _POLISH_BASES = {1.0: _polish_basis("+"), -1.0: _polish_basis("-")}
 
 
 def _polish_frame(r, g, flip, f0):
-    # Projected descent on SO(4); each gradient is one stacked objective call.
+    # Projected descent on SO(4) with backtracking step halving.  The line
+    # search tries _LINE_TRIALS halvings at once: one stacked projection and
+    # one objective call over every trial followed by its gradient probes, so
+    # the accepted trial brings the next gradient with it.
     dirs, probes = _POLISH_BASES[flip]
     eye = np.eye(4)
     fval = f0
     step = 0.2
+    v = _pair_values(r, g @ probes, flip)
     for _ in range(POLISH_STEPS):
-        v = _pair_values(r, g @ probes, flip)
         grad = (v[:3] - v[3:]) / (2.0 * _POLISH_H)
         gn = float(np.linalg.norm(grad))
         if gn < 1e-11 * (1.0 + abs(fval)):
@@ -237,15 +241,21 @@ def _polish_frame(r, g, flip, f0):
         direction = sum(c * x for c, x in zip(grad / gn, dirs))
         moved = False
         while step > 1e-12:
-            trial = _project_rotation(g @ (eye - step * direction))
-            ftrial = float(_pair_values(r, trial[None], flip)[0])
-            if ftrial < fval - 1e-10 * step * gn:
-                g = trial
-                fval = ftrial
+            steps = step * 0.5 ** np.arange(_LINE_TRIALS)
+            steps = steps[steps > 1e-12]
+            trials = _project_rotation(g @ (eye - steps[:, None, None] * direction))
+            frames = np.concatenate([trials[:, None], trials[:, None] @ probes], axis=1)
+            vals = _pair_values(r, frames.reshape(-1, 4, 4), flip).reshape(len(steps), 7)
+            passed = np.flatnonzero(vals[:, 0] < fval - 1e-10 * steps * gn)
+            if passed.size:
+                k = passed[0]
+                g = trials[k]
+                fval = float(vals[k, 0])
+                v = vals[k, 1:]
                 moved = True
-                step = min(step * 1.5, 0.5)
+                step = min(float(steps[k]) * 1.5, 0.5)
                 break
-            step *= 0.5
+            step = float(steps[-1]) * 0.5
         if not moved:
             break
     return fval

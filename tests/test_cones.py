@@ -248,7 +248,7 @@ def test_min_isotropic_matches_the_block_margin():
                 assert got == pytest.approx(want, abs=1e-6 * (1.0 + np.linalg.norm(r)))
 
 
-def test_polish_gradient_is_one_stacked_objective_call(monkeypatch):
+def test_polish_line_search_is_stacked(monkeypatch):
     rows = []
     pair_values = cones._pair_values
 
@@ -260,12 +260,113 @@ def test_polish_gradient_is_one_stacked_objective_call(monkeypatch):
     for sign in ("+", "-"):
         rows.clear()
         cones.min_isotropic(_bianchi(11, norm=1.0), sign, samples=512, seed=2)
-        assert rows[0] == 512  # the sampled frames
-        # then per step one 6-row gradient call, followed by 1-row line-search trials
-        polish = rows[1:]
-        assert polish[0] == 6 and polish.count(6) >= 2
-        assert set(polish) == {1, 6}
-        assert all(not (a == b == 6) for a, b in zip(polish, polish[1:]))
+        # the sampled frames, one 6-row gradient, then line-search blocks of
+        # k <= 4 trials, each followed by its 6 gradient probes
+        assert rows[:2] == [512, 6]
+        blocks = rows[2:]
+        assert len(blocks) >= 2
+        assert all(n % 7 == 0 and 1 <= n // 7 <= cones._LINE_TRIALS for n in blocks)
+
+
+def _reference_project_rotation(m):
+    # Reference: nearest rotation to one 4x4 matrix, one SVD at a time.
+    u, _, vt = np.linalg.svd(m)
+    g = u @ vt
+    if np.linalg.det(g) < 0.0:
+        u[:, -1] = -u[:, -1]
+        g = u @ vt
+    return g
+
+
+def _reference_min_isotropic(r, sign, samples, seed):
+    # Reference: the sequential frame polish, one projection and one 1-row
+    # objective call per backtracking trial and a 6-row call per gradient,
+    # with the same sampling, probes, step rule and step cap.
+    flip = 1.0 if sign == "+" else -1.0
+    rng = np.random.default_rng(seed)
+    frames = l2._quat_to_rot_batch(
+        l2.haar_quaternions(rng, samples), l2.haar_quaternions(rng, samples)
+    )
+    vals = cones._pair_values(r, frames, flip)
+    best = int(np.argmin(vals))
+    g, fval = frames[best], float(vals[best])
+    dirs, probes = cones._POLISH_BASES[flip]
+    h = cones._POLISH_H
+    step = 0.2
+    for _ in range(cones.POLISH_STEPS):
+        v = cones._pair_values(r, g @ probes, flip)
+        grad = (v[:3] - v[3:]) / (2.0 * h)
+        gn = float(np.linalg.norm(grad))
+        if gn < 1e-11 * (1.0 + abs(fval)):
+            break
+        direction = sum(c * x for c, x in zip(grad / gn, dirs))
+        moved = False
+        while step > 1e-12:
+            trial = _reference_project_rotation(g @ (np.eye(4) - step * direction))
+            ftrial = float(cones._pair_values(r, trial[None], flip)[0])
+            if ftrial < fval - 1e-10 * step * gn:
+                g, fval, moved = trial, ftrial, True
+                step = min(step * 1.5, 0.5)
+                break
+            step *= 0.5
+        if not moved:
+            break
+    return fval
+
+
+def test_stacked_polish_equals_the_sequential_reference():
+    # bit-identical on random, large- and small-norm and exact-boundary operators
+    for seed in range(8):
+        base = _bianchi(100 + seed, norm=1.0)
+        ops = [base, 1e6 * base, 1e-6 * base]
+        ops += [cones.shift_to_margin(base, c, 0.0) for c in ("ic_plus", "ic_minus")]
+        for r in ops:
+            for sign in ("+", "-"):
+                got = cones.min_isotropic(r, sign, samples=512, seed=seed)
+                assert got == _reference_min_isotropic(r, sign, 512, seed)
+
+
+def test_stacked_projection_equals_the_per_matrix_reference(rng):
+    m = rng.standard_normal((6, 4, 4))
+    m[2] = np.diag([1.0, 1.0, 1.0, -1.0]) @ l2.quat_to_rot(
+        l2.haar_quaternion(rng), l2.haar_quaternion(rng)
+    )
+    dets = np.linalg.det(m)
+    assert (dets < 0.0).any() and (dets > 0.0).any()
+    got = cones._project_rotation(m)
+    want = np.stack([_reference_project_rotation(x) for x in m])
+    assert np.array_equal(got, want)
+    assert np.array_equal(cones._project_rotation(m[2]), want[2])
+    np.testing.assert_allclose(np.linalg.det(got), 1.0, atol=1e-14)
+
+
+# A unit-norm operator shifted to within 1e-6 of the minus boundary whose minus
+# block has a top gap of 2.3e-3 (eigenvalues -0.39888, 0.398884, 0.401181): the
+# descent crawls, and a 200-step cap left the minimum at +9.29e-7.
+_SLOW_MINUS = np.array(
+    [
+        [0.4788232484927131, -0.11326948831058042, 0.15743832767223973,
+         0.004380773216646226, 0.07406078553358819, -0.07744369896501473],
+        [-0.11326948831058042, -0.07939525768175812, 0.3189726510547167,
+         -0.24073444153155638, -0.07981828935279905, -0.11253469672322201],
+        [0.15743832767223973, 0.3189726510547167, 0.3767857526002293,
+         -0.002374590387784304, 0.1720950003064658, -0.11526140987176257],
+        [0.004380773216646226, -0.24073444153155638, -0.002374590387784304,
+         -0.018117643557367308, 0.02116200842742446, -0.22927244259804913],
+        [0.07406078553358819, -0.07981828935279905, 0.1720950003064658,
+         0.02116200842742446, -0.11947940448910024, 0.1326862409034683],
+        [-0.07744369896501473, -0.11253469672322201, -0.11526140987176257,
+         -0.22927244259804913, 0.1326862409034683, 0.1637452750545453],
+    ]
+)
+
+
+def test_min_isotropic_converges_at_a_small_top_gap():
+    want = 2.0 * cones.two_positive_margin(cv.minus_block(_SLOW_MINUS))
+    assert want < 0.0
+    got = cones.min_isotropic(_SLOW_MINUS, "-", samples=4096, seed=395)
+    assert got < 0.0
+    assert abs(got - want) <= 1e-9
 
 
 def test_min_isotropic_polish_never_hurts():

@@ -286,11 +286,14 @@ def test_multiplication_matrices_match_the_hamilton_product(rng):
     np.testing.assert_array_equal(l2._right_mul(qs)[3], l2._right_mul(qs[3]))
 
 
-def test_haar_batch_matches_sequential_draws():
-    a = l2.haar_quaternions(np.random.default_rng(7), 4)
+def test_haar_batch_consumes_the_stream_like_sequential_draws():
+    batch_rng = np.random.default_rng(7)
+    a = l2.haar_quaternions(batch_rng, 4)
     rng = np.random.default_rng(7)
     b = np.stack([l2.haar_quaternion(rng) for _ in range(4)])
-    np.testing.assert_allclose(a, b, atol=0)
+    # the normalisation may round differently by one ulp; the draws are the same
+    np.testing.assert_allclose(a, b, atol=2.0 * np.finfo(float).eps, rtol=0.0)
+    assert batch_rng.bit_generator.state == rng.bit_generator.state
 
 
 def test_haar_samples_have_near_zero_mean():
