@@ -11,11 +11,21 @@ fixed and small, so a run takes a few seconds.  Every invocation leaves a
 the same bytes exactly when `diff -r` of their output directories is empty:
 
     PYTHONPATH=src python3 scripts/golden_outputs.py OUTDIR
+
+A change that moves results by rounding alone is checked with
+
+    PYTHONPATH=src python3 scripts/golden_outputs.py --compare OLD NEW
+
+which requires every file to be byte-equal except a JSON file holding an
+operator.matrix: there every number may move by at most COMPARE_TOL * (1 + |R|),
+with R the old matrix, and everything else must be equal.  It prints the worst
+such move of each file and every other difference, and exits 1 on any failure.
 """
 
 import argparse
 import contextlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -25,6 +35,7 @@ from halfpic import cli, curvature, group_actions
 
 FLOW_ARGS = ["--t-max", "0.02", "--dt", "1e-3"]
 AVERAGE_SAMPLES = "2000"
+COMPARE_TOL = 1e-14
 
 
 def _witness_eligible():
@@ -92,12 +103,76 @@ def write_all(outdir):
         _run(d / f"{suite}.txt", ["verify", "--suite", suite])
 
 
+def _worst_move(a, b, scale):
+    # worst |a - b| / scale over the numbers of two JSON trees, or None when
+    # anything else (keys, lengths, strings, integers, types) differs
+    if isinstance(a, float) and isinstance(b, float):
+        return abs(a - b) / scale
+    if type(a) is not type(b):
+        return None
+    if isinstance(a, dict):
+        if a.keys() != b.keys():
+            return None
+        parts = [_worst_move(a[k], b[k], scale) for k in a]
+    elif isinstance(a, list):
+        if len(a) != len(b):
+            return None
+        parts = [_worst_move(x, y, scale) for x, y in zip(a, b)]
+    else:
+        return 0.0 if a == b else None
+    return None if None in parts else max(parts, default=0.0)
+
+
+def _operator_move(old, new):
+    # worst relative move of a JSON file holding operator.matrix, else None
+    try:
+        a, b = json.loads(old), json.loads(new)
+        scale = 1.0 + float(np.linalg.norm(np.asarray(a["operator"]["matrix"], dtype=float)))
+    except (ValueError, TypeError, KeyError):
+        return None
+    return _worst_move(a, b, scale)
+
+
+def compare(old, new):
+    """Compare two output trees; print the differences, return the exit code."""
+    old, new = Path(old), Path(new)
+    files = {
+        side: {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
+        for side, root in (("old", old), ("new", new))
+    }
+    failed = 0
+    for rel in sorted(files["old"] ^ files["new"]):
+        print(f"FAIL {rel}: only in {'old' if rel in files['old'] else 'new'}")
+        failed += 1
+    for rel in sorted(files["old"] & files["new"]):
+        a, b = (old / rel).read_bytes(), (new / rel).read_bytes()
+        if a == b:
+            continue
+        move = _operator_move(a, b) if rel.suffix == ".json" else None
+        if move is None:
+            print(f"FAIL {rel}: differs")
+            failed += 1
+        elif move > COMPARE_TOL:
+            print(f"FAIL {rel}: worst |delta|/(1+|R|) {move:.3e} above {COMPARE_TOL:g}")
+            failed += 1
+        else:
+            print(f"ok   {rel}: worst |delta|/(1+|R|) {move:.3e}")
+    print(f"{failed} of {len(files['old'] | files['new'])} files differ beyond rounding")
+    return 1 if failed else 0
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
-    ap.add_argument("outdir", help="directory to write (created if missing)")
+    ap.add_argument("outdir", nargs="?", help="directory to write (created if missing)")
+    ap.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                    help="compare two output directories instead of writing one")
     args = ap.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if args.outdir is None:
+        ap.error("give OUTDIR or --compare OLD NEW")
     write_all(args.outdir)
     return 0
 

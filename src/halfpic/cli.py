@@ -238,6 +238,16 @@ def _suite_averaging(samples, seed):
     results.append(
         (f"factor averages near projections (n={n_mc})", worst <= bound, f"worst {worst:.3e} bound {bound:.3e}")
     )
+    worst = 0.0
+    n_exact = min(samples, 200)
+    for k in range(n_exact):
+        r = curvature.random_bianchi(rng, norm=(1.0, 1e6, 1e-3)[k % 3])
+        for factor in ("left", "right"):
+            err = np.abs(group_actions.group_average(r, factor) - group_actions.exact_projection(r, factor)).max()
+            worst = max(worst, float(err) / (1.0 + np.linalg.norm(r)))
+    results.append(
+        (f"2T quadrature equals the projections ({n_exact} operators)", worst <= 1e-14, f"worst {worst:.3e}")
+    )
     return results
 
 

@@ -187,6 +187,8 @@ def act(g, r):
 
 def _act_average(ms, r):
     # mean over n of M^T R M for a stack of induced maps, (n,6,6) -> (6,6).
+    # Reference route of group_actions.average, which takes the same mean
+    # through the samples' fourth moments; only the tests call it.
     t = np.einsum("jk,nkl->njl", r, ms)
     return np.einsum("nji,njl->il", ms, t) / ms.shape[0]
 

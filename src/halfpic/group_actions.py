@@ -4,6 +4,7 @@ construction for maximality of the half-isotropic cone.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,48 @@ def exact_projection(r, factor="left"):
     raise ValueError(f"factor must be one of {FACTORS}, got {factor!r}")
 
 
+# Degree-two monomials q_a q_b (a <= b) of a quaternion, in triu order.
+_MONO_A, _MONO_B = np.triu_indices(4)
+
+
+def _factor_tables(basis_rots):
+    # The sample rotation of a factor is linear in q, g(q) = sum_a q_a B_a, so
+    # its induced map is quadratic: M(q) = sum_{a<=b} q_a q_b C_ab with
+    # C_aa = W(B_a, B_a) and C_ab = W(B_a, B_b) + W(B_b, B_a) for a < b, where
+    # W is the wedge of maps.  (4, 4, 4) -> (10, 6, 6).
+    w = lambda2._wedge_maps(basis_rots[:, None], basis_rots[None, :])
+    both = w + w.swapaxes(0, 1)
+    diag = (_MONO_A == _MONO_B)[:, None, None]
+    return np.where(diag, w[_MONO_A, _MONO_B], both[_MONO_A, _MONO_B])
+
+
+# Left factor x -> x q^(-1), right factor x -> q x, on the basis quaternions.
+_FACTOR_TABLES = {
+    "left": _factor_tables(lambda2._right_mul(np.eye(4) * lambda2._CONJ)),
+    "right": _factor_tables(lambda2._left_mul(np.eye(4))),
+}
+
+# The binary tetrahedral group 2T: +-1, +-i, +-j, +-k and (+-1+-i+-j+-k)/2.
+BINARY_TETRAHEDRAL = np.vstack(
+    [np.eye(4), -np.eye(4), np.array(list(itertools.product([0.5, -0.5], repeat=4)))]
+)
+
+
+def _moment_average(r, q, factor):
+    # Mean of M(q)^T R M(q) over the rows of q, through the Gram matrix G of
+    # their degree-two monomials: sum_{P,Q} G_PQ C_P^T R C_Q, no per-row map.
+    q2 = q[:, _MONO_A]
+    q2 *= q[:, _MONO_B]
+    g = (q2.T @ q2) / q.shape[0]
+    c = _FACTOR_TABLES[factor]
+    return np.einsum("pq,pki,kl,qlj->ij", g, c, r, c, optimize=True)
+
+
+def _check_factor(factor):
+    if factor not in FACTORS:
+        raise ValueError(f"factor must be one of {FACTORS}, got {factor!r}")
+
+
 def average(r, factor="left", n=10000, seed=0):
     """Monte-Carlo average of the pullback action over one S^3 factor.
 
@@ -37,21 +80,31 @@ def average(r, factor="left", n=10000, seed=0):
     R_Id + R_W+ at the usual 1/sqrt(n) rate; the right factor converges to
     R_Id + R_W-.  Under the frozen quaternion conventions the left factor is
     realized by x -> x q^(-1) and the right factor by x -> q x.
+
+    The mean over the n Haar samples is taken through their fourth moments:
+    each sample contributes one row of ten quadratic monomials, and no
+    per-sample rotation or induced map is formed.
     """
     r = require_bianchi_valid(r)
-    if factor not in FACTORS:
-        raise ValueError(f"factor must be one of {FACTORS}, got {factor!r}")
+    _check_factor(factor)
     n = int(n)
     if n < 1:
         raise ValueError("n must be positive")
     rng = np.random.default_rng(seed)
     q = lambda2.haar_quaternions(rng, n)
-    if factor == "left":
-        rots = lambda2._right_mul(q * lambda2._CONJ)
-    else:
-        rots = lambda2._left_mul(q)
-    ms = lambda2._induced_map_batch(rots)
-    return curvature._act_average(ms, r)
+    return _moment_average(r, q, factor)
+
+
+def group_average(r, factor="left"):
+    """Exact average of the pullback action over one S^3 factor.
+
+    The averaged action is a polynomial of degree four in q, and the 24
+    quaternions of the binary tetrahedral group integrate it exactly, so this
+    equals exact_projection up to rounding without using the Weyl blocks.
+    """
+    r = require_bianchi_valid(r)
+    _check_factor(factor)
+    return _moment_average(r, BINARY_TETRAHEDRAL, factor)
 
 
 def lift_selfdual_rotation(rho):

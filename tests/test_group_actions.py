@@ -1,5 +1,7 @@
 """Factor averaging, lifting self-dual rotations, and the boundary witness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,103 @@ def test_average_is_the_mean_over_its_factor(factor, lift, n):
         want = np.mean([cv.act(lift(q), r) for q in qs], axis=0)
         got = ga.average(r, factor, n=n, seed=seed)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * (1.0 + np.linalg.norm(r)))
+
+
+def _stacked_reference(r, factor, n, seed):
+    # the former route: one rotation and one induced 6x6 map per sample
+    q = l2.haar_quaternions(np.random.default_rng(seed), n)
+    rots = l2._right_mul(q * l2._CONJ) if factor == "left" else l2._left_mul(q)
+    return cv._act_average(l2._induced_map_batch(rots), r)
+
+
+@pytest.mark.parametrize("factor, lift", [("left", l2.s3_minus), ("right", l2.s3_plus)])
+def test_factor_tables_expand_the_induced_map(factor, lift, rng):
+    tables = ga._FACTOR_TABLES[factor]
+    for _ in range(20):
+        q = l2.haar_quaternion(rng)
+        m = np.einsum("p,pij->ij", q[ga._MONO_A] * q[ga._MONO_B], tables)
+        np.testing.assert_allclose(m, l2.induced_map(lift(q)), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("factor", ga.FACTORS)
+def test_factor_tables_are_bilinear_off_the_sphere(factor, rng):
+    # g is linear in q: x -> x conj(q) (left) or x -> q x (right), and the
+    # tables send e_i^e_j to g e_i ^ g e_j for any q, unit or not
+    tables = ga._FACTOR_TABLES[factor]
+    e = np.eye(4)
+    for _ in range(20):
+        q = 3.0 * rng.standard_normal(4)
+        if factor == "left":
+            cols = [l2.quat_mul(x, l2.quat_conj(q)) for x in e]
+        else:
+            cols = [l2.quat_mul(q, x) for x in e]
+        m = np.einsum("p,pij->ij", q[ga._MONO_A] * q[ga._MONO_B], tables)
+        want = np.column_stack([l2.wedge(cols[i], cols[j]) for i, j in zip(l2.PAIR_I, l2.PAIR_J)])
+        np.testing.assert_allclose(m, want, rtol=0, atol=1e-12 * (1.0 + q @ q))
+
+
+@pytest.mark.parametrize("n", [1, 7, 500, 50_000])
+@pytest.mark.parametrize("factor", ga.FACTORS)
+def test_average_agrees_with_the_stacked_reference(factor, n):
+    for seed, norm in enumerate([1.0, 1e6, 1e-3]):
+        r = _bianchi(20 + seed, norm=norm)
+        got = ga.average(r, factor, n=n, seed=seed)
+        want = _stacked_reference(r, factor, n, seed)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * (1.0 + np.linalg.norm(r)))
+
+
+def test_average_memory_does_not_grow_with_per_sample_maps():
+    r = _bianchi(7, norm=1.0)
+    tracemalloc.start()
+    try:
+        ga.average(r, "left", n=50_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the monomials of 50_000 samples take 4 MB; the former stack of one 6x6
+    # map per sample peaked near 66 MB
+    assert peak < 20e6
+
+
+def test_binary_tetrahedral_group_is_a_group_of_24_units():
+    group = ga.BINARY_TETRAHEDRAL
+    assert group.shape == (24, 4)
+    np.testing.assert_allclose(np.linalg.norm(group, axis=1), 1.0, rtol=0, atol=0)
+    for p in group:
+        for q in group:
+            pq = l2.quat_mul(p, q)
+            assert np.abs(group - pq).max(axis=1).min() == 0.0
+
+
+@pytest.mark.parametrize("factor", ga.FACTORS)
+def test_group_average_equals_the_projection(factor):
+    for k in range(60):
+        r = _bianchi(100 + k, norm=(1.0, 1e6, 1e-3)[k % 3])
+        np.testing.assert_allclose(
+            ga.group_average(r, factor),
+            ga.exact_projection(r, factor),
+            rtol=0,
+            atol=1e-14 * (1.0 + np.linalg.norm(r)),
+        )
+
+
+@pytest.mark.parametrize("factor", ga.FACTORS)
+def test_quaternion_group_is_too_small_for_the_projection(factor):
+    # Q8 = {+-1, +-i, +-j, +-k} integrates degree two but not degree four
+    q8 = np.vstack([np.eye(4), -np.eye(4)])
+    worst = 0.0
+    for k in range(10):
+        r = _bianchi(k, norm=1.0)
+        err = np.abs(ga._moment_average(r, q8, factor) - ga.exact_projection(r, factor)).max()
+        worst = max(worst, err)
+    assert worst > 0.05
+
+
+def test_group_average_rejects_bad_input():
+    with pytest.raises(ValueError, match="factor"):
+        ga.group_average(np.eye(6), "top")
+    with pytest.raises(ValueError, match="Bianchi"):
+        ga.group_average(l2.HODGE_STAR)
 
 
 def test_average_error_decays_with_n():

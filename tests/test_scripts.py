@@ -4,6 +4,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -45,3 +46,29 @@ def test_golden_outputs_are_reproducible(tmp_path):
     files = {str(p) for p in trees[0]}
     assert {"verify/averaging.txt", "cp2/flow.csv", "models/sphere.json"} <= files
     assert trees[0][Path("witness_eligible/witness.txt")].startswith(b"exit 0\n")
+
+
+
+def _golden_tree(root, matrix, n=3, text="PASS\n"):
+    root.mkdir()
+    doc = {"factor": "left", "n": n, "operator": {"basis": "e12", "matrix": matrix.tolist()}}
+    (root / "average_left.json").write_text(json.dumps(doc))
+    (root / "verify.txt").write_text(text)
+    return str(root)
+
+
+def test_golden_compare_forgives_rounding_only(tmp_path, capsys):
+    golden = _load("golden_outputs")
+    matrix = 0.3 * np.eye(6)
+    ulp = matrix.copy()
+    ulp[1, 1] = np.nextafter(0.3, 1.0)
+    old = _golden_tree(tmp_path / "old", matrix)
+    cases = [
+        (_golden_tree(tmp_path / "ulp", ulp), 0, "ok   average_left.json"),
+        (_golden_tree(tmp_path / "far", matrix + 1e-12), 1, "FAIL average_left.json: worst"),
+        (_golden_tree(tmp_path / "keyed", matrix, n=4), 1, "FAIL average_left.json: differs"),
+        (_golden_tree(tmp_path / "text", matrix, text="FAIL\n"), 1, "FAIL verify.txt: differs"),
+    ]
+    for new, code, line in cases:
+        assert golden.main(["--compare", old, new]) == code
+        assert line in capsys.readouterr().out
