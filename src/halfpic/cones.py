@@ -180,85 +180,135 @@ def _project_rotation(m):
     return u @ vt
 
 
+# The sign of f4 in _pair_values for each half cone.
+_FLIPS = {"+": 1.0, "-": -1.0}
+
+
+def _pair_bivectors(flip):
+    # u and v of _pair_values at the identity frame, as the rows a, b.
+    e = np.eye(4)
+    w = lambda2._wedge
+    return np.stack([w(e[0], e[2]) - flip * w(e[1], e[3]), flip * w(e[0], e[3]) + w(e[1], e[2])])
+
+
+def _sample_tables(sign):
+    # The quaternion factor that rotates the sign eigenspace is the only one
+    # that moves u and v, and its induced map is quadratic in its quaternion,
+    # so a sample's u and v are sum_P m_P (C_P a) and sum_P m_P (C_P b) over
+    # its ten monomials m_P.  (2, 10, 6): the rows C_P a, then the rows C_P b.
+    return np.einsum("pij,cj->cpi", lambda2.S3_TABLES[sign], _pair_bivectors(_FLIPS[sign]))
+
+
+_SAMPLE_TABLES = {sign: _sample_tables(sign) for sign in _FLIPS}
+
+
+def _sample_values(r, sign, q1, q2):
+    # The objective of the frames x -> q1 x q2^(-1), through the 10x10
+    # quartic form K = U R U^T + V R V^T in the monomials of the one
+    # quaternion that moves u and v (q1 for "+", q2 for "-").
+    t = _SAMPLE_TABLES[sign]
+    k = (t @ r @ t.swapaxes(1, 2)).sum(axis=0)
+    m = lambda2._monomials(q1 if sign == "+" else q2)
+    return ((m @ k) * m).sum(axis=1)
+
+
+def _best_sample(r, sign, samples, seed):
+    # The best of the sampled frames and its value from _pair_values; only
+    # that frame is built.
+    rng = np.random.default_rng(seed)
+    q1 = lambda2.haar_quaternions(rng, samples)
+    q2 = lambda2.haar_quaternions(rng, samples)
+    best = int(np.argmin(_sample_values(r, sign, q1, q2)))
+    g = lambda2._quat_to_rot_batch(q1[best : best + 1], q2[best : best + 1])
+    return g[0], float(_pair_values(r, g, _FLIPS[sign])[0])
+
+
 def min_isotropic(r, sign="+", samples=10000, seed=0, polish=True):
     """Minimum isotropic value over the frame manifold.
 
     Frames are sampled uniformly from SO(4) through pairs of Haar quaternions;
     the minus cone reuses the same frames composed with an orientation flip.
-    The best sample is then refined by projected gradient descent along the
-    three frame directions that actually rotate the relevant Hodge eigenspace,
-    with backtracking step halving.  The result converges from above to twice
-    the two-positivity margin of the matching Weyl-plus-scalar block.
+    The best sample is then refined by Newton steps along the two frame
+    directions that rotate the isotropic plane inside the relevant Hodge
+    eigenspace.  The result converges from above to twice the two-positivity
+    margin of the matching Weyl-plus-scalar block.
     """
     r = require_bianchi_valid(r)
     _check_sign(sign)
-    flip = 1.0 if sign == "+" else -1.0
-    rng = np.random.default_rng(seed)
     n = int(samples)
     if n < 1:
         raise ValueError("samples must be positive")
-    q1 = lambda2.haar_quaternions(rng, n)
-    q2 = lambda2.haar_quaternions(rng, n)
-    frames = lambda2._quat_to_rot_batch(q1, q2)
-    vals = _pair_values(r, frames, flip)
-    best = int(np.argmin(vals))
-    f_best = float(vals[best])
+    g, f_best = _best_sample(r, sign, n, seed)
     if not polish:
         return f_best
-    return _polish_frame(r, frames[best], flip, f_best)
+    return _polish_frame(r, g, _FLIPS[sign], f_best)[0]
 
 
 POLISH_STEPS = 1000
-_POLISH_H = 1e-6
 _LINE_TRIALS = 4
 
 
-def _polish_basis(sign):
-    # The so(4) directions X_k that rotate the sign eigenspace, the only ones
-    # that move the objective, and the probes I + h X_k, then I - h X_k.
-    x = np.stack([lambda2.to_so4(w) for w in lambda2.selfdual_basis(sign)])
-    return x, np.concatenate([np.eye(4) + _POLISH_H * x, np.eye(4) - _POLISH_H * x])
+def _polish_tables(sign):
+    # Directions X_1, X_2 of so(4) (right multiplication, so fixed in the
+    # frame) and the columns a, b, D_1 a, D_1 b, D_2 a, D_2 b, then P_jk a,
+    # P_jk b for jk = 11, 12, 22, of the bivectors that give the objective's
+    # derivatives along g exp(t_1 X_1 + t_2 X_2).  D_k = W(X_k, I) + W(I, X_k)
+    # is X_k acting on bivectors and P_jk = D_j D_k + D_k D_j.  X_0, the first
+    # direction of the eigenspace, turns u and v inside their own plane and
+    # leaves the objective unchanged, and the other factor fixes them.
+    x = np.stack([lambda2.to_so4(w) for w in lambda2.selfdual_basis(sign)[1:]])
+    eye = np.eye(4)
+    d = lambda2._wedge_maps(x, eye) + lambda2._wedge_maps(eye, x)
+    ab = _pair_bivectors(_FLIPS[sign]).T
+    sym = [d[j] @ d[k] + d[k] @ d[j] for j, k in ((0, 0), (0, 1), (1, 1))]
+    return x, np.hstack([ab, d[0] @ ab, d[1] @ ab] + [p @ ab for p in sym])
 
 
-_POLISH_BASES = {1.0: _polish_basis("+"), -1.0: _polish_basis("-")}
+_POLISH_TABLES = {flip: _polish_tables(sign) for sign, flip in _FLIPS.items()}
+
+
+def _frame_derivatives(r, g, flip):
+    # Gradient and Hessian of the objective at g along the two polish
+    # directions: with S = M^T R M, M the induced map of g, and c over a, b,
+    # grad_k = 2 sum_c c^T S D_k c and
+    # H_jk = sum_c 2 (D_j c)^T S (D_k c) + c^T S P_jk c.
+    _, cols = _POLISH_TABLES[flip]
+    z = lambda2._wedge_maps(g, g) @ cols
+    gram = z[:, :6].T @ r @ z
+    # Sum over the pair (a, b): entry [i, j] pairs column group i with j.
+    t = np.trace(gram.reshape(3, 2, 6, 2), axis1=1, axis2=3)
+    grad = 2.0 * t[0, 1:3]
+    hess = 2.0 * t[1:3, 1:3] + t[0, [[3, 4], [4, 5]]]
+    return grad, hess
 
 
 def _polish_frame(r, g, flip, f0):
-    # Projected descent on SO(4) with backtracking step halving.  The line
-    # search tries _LINE_TRIALS halvings at once: one stacked projection and
-    # one objective call over every trial followed by its gradient probes, so
-    # the accepted trial brings the next gradient with it.
-    dirs, probes = _POLISH_BASES[flip]
-    eye = np.eye(4)
+    # Saddle-free Newton descent on SO(4): each step solves with |H|, the 2x2
+    # Hessian with its eigenvalues made positive, is cut to norm 1, and is
+    # searched with _LINE_TRIALS halvings at once from t = 1 (one stacked
+    # projection, one objective call).  Every value comes from _pair_values;
+    # the derivatives only choose where to evaluate it.  Returns the value,
+    # the number of steps taken and why the descent stopped: "gradient",
+    # "no_descent" or "cap".
+    x, _ = _POLISH_TABLES[flip]
+    t = 0.5 ** np.arange(_LINE_TRIALS)
     fval = f0
-    step = 0.2
-    v = _pair_values(r, g @ probes, flip)
-    for _ in range(POLISH_STEPS):
-        grad = (v[:3] - v[3:]) / (2.0 * _POLISH_H)
-        gn = float(np.linalg.norm(grad))
-        if gn < 1e-11 * (1.0 + abs(fval)):
-            break
-        direction = sum(c * x for c, x in zip(grad / gn, dirs))
-        moved = False
-        while step > 1e-12:
-            steps = step * 0.5 ** np.arange(_LINE_TRIALS)
-            steps = steps[steps > 1e-12]
-            trials = _project_rotation(g @ (eye - steps[:, None, None] * direction))
-            frames = np.concatenate([trials[:, None], trials[:, None] @ probes], axis=1)
-            vals = _pair_values(r, frames.reshape(-1, 4, 4), flip).reshape(len(steps), 7)
-            passed = np.flatnonzero(vals[:, 0] < fval - 1e-10 * steps * gn)
-            if passed.size:
-                k = passed[0]
-                g = trials[k]
-                fval = float(vals[k, 0])
-                v = vals[k, 1:]
-                moved = True
-                step = min(float(steps[k]) * 1.5, 0.5)
-                break
-            step = float(steps[-1]) * 0.5
-        if not moved:
-            break
-    return fval
+    for step in range(POLISH_STEPS):
+        grad, hess = _frame_derivatives(r, g, flip)
+        tol = 1e-11 * (1.0 + abs(fval))
+        if float(np.linalg.norm(grad)) < tol:
+            return fval, step, "gradient"
+        lam, vec = np.linalg.eigh(hess)
+        d = -vec @ ((vec.T @ grad) / np.maximum(np.abs(lam), tol))
+        d /= max(1.0, float(np.linalg.norm(d)))
+        trials = _project_rotation(g @ (np.eye(4) + t[:, None, None] * np.tensordot(d, x, 1)))
+        vals = _pair_values(r, trials, flip)
+        passed = np.flatnonzero(vals < fval + 1e-4 * t * float(grad @ d))
+        if not passed.size:
+            return fval, step, "no_descent"
+        g = trials[passed[0]]
+        fval = float(vals[passed[0]])
+    return fval, POLISH_STEPS, "cap"
 
 
 # ---------------------------------------------------------------------------

@@ -30,26 +30,9 @@ def exact_projection(r, factor="left"):
     raise ValueError(f"factor must be one of {FACTORS}, got {factor!r}")
 
 
-# Degree-two monomials q_a q_b (a <= b) of a quaternion, in triu order.
-_MONO_A, _MONO_B = np.triu_indices(4)
-
-
-def _factor_tables(basis_rots):
-    # The sample rotation of a factor is linear in q, g(q) = sum_a q_a B_a, so
-    # its induced map is quadratic: M(q) = sum_{a<=b} q_a q_b C_ab with
-    # C_aa = W(B_a, B_a) and C_ab = W(B_a, B_b) + W(B_b, B_a) for a < b, where
-    # W is the wedge of maps.  (4, 4, 4) -> (10, 6, 6).
-    w = lambda2._wedge_maps(basis_rots[:, None], basis_rots[None, :])
-    both = w + w.swapaxes(0, 1)
-    diag = (_MONO_A == _MONO_B)[:, None, None]
-    return np.where(diag, w[_MONO_A, _MONO_B], both[_MONO_A, _MONO_B])
-
-
-# Left factor x -> x q^(-1), right factor x -> q x, on the basis quaternions.
-_FACTOR_TABLES = {
-    "left": _factor_tables(lambda2._right_mul(np.eye(4) * lambda2._CONJ)),
-    "right": _factor_tables(lambda2._left_mul(np.eye(4))),
-}
+# Left factor x -> x q^(-1) fixes the self-dual forms and rotates the
+# anti-self-dual ones; right factor x -> q x does the opposite.
+_FACTOR_TABLES = {"left": lambda2.S3_TABLES["-"], "right": lambda2.S3_TABLES["+"]}
 
 # The binary tetrahedral group 2T: +-1, +-i, +-j, +-k and (+-1+-i+-j+-k)/2.
 BINARY_TETRAHEDRAL = np.vstack(
@@ -57,14 +40,20 @@ BINARY_TETRAHEDRAL = np.vstack(
 )
 
 
+# The contraction order of _moment_average, planned once: the shapes are fixed.
+_MOMENT_PATH = np.einsum_path(
+    "pq,pki,kl,qlj->ij", np.ones((10, 10)), _FACTOR_TABLES["left"], np.ones((6, 6)),
+    _FACTOR_TABLES["left"], optimize="greedy",
+)[0]
+
+
 def _moment_average(r, q, factor):
     # Mean of M(q)^T R M(q) over the rows of q, through the Gram matrix G of
     # their degree-two monomials: sum_{P,Q} G_PQ C_P^T R C_Q, no per-row map.
-    q2 = q[:, _MONO_A]
-    q2 *= q[:, _MONO_B]
+    q2 = lambda2._monomials(q)
     g = (q2.T @ q2) / q.shape[0]
     c = _FACTOR_TABLES[factor]
-    return np.einsum("pq,pki,kl,qlj->ij", g, c, r, c, optimize=True)
+    return np.einsum("pq,pki,kl,qlj->ij", g, c, r, c, optimize=_MOMENT_PATH)
 
 
 def _check_factor(factor):

@@ -258,6 +258,36 @@ def s3_minus(q):
     return quat_to_rot(QUAT_ONE, q)
 
 
+# Degree-two monomials q_a q_b (a <= b) of a quaternion, in triu order.
+_MONO_A, _MONO_B = np.triu_indices(4)
+
+
+def _monomials(q):
+    # (n, 4) -> (n, 10)
+    m = q[:, _MONO_A]
+    m *= q[:, _MONO_B]
+    return m
+
+
+def _quadratic_tables(basis_rots):
+    # A rotation linear in q, g(q) = sum_a q_a B_a, has an induced map
+    # quadratic in q: M(q) = sum_{a<=b} q_a q_b C_ab with C_aa = W(B_a, B_a)
+    # and C_ab = W(B_a, B_b) + W(B_b, B_a) for a < b, where W is the wedge of
+    # maps.  (4, 4, 4) -> (10, 6, 6).
+    w = _wedge_maps(basis_rots[:, None], basis_rots[None, :])
+    both = w + w.swapaxes(0, 1)
+    diag = (_MONO_A == _MONO_B)[:, None, None]
+    return np.where(diag, w[_MONO_A, _MONO_B], both[_MONO_A, _MONO_B])
+
+
+# The tables of the two factors, by the Hodge eigenspace each one rotates:
+# x -> q x for "+" (s3_plus) and x -> x q^(-1) for "-" (s3_minus).
+S3_TABLES = {
+    "+": _quadratic_tables(_left_mul(np.eye(4))),
+    "-": _quadratic_tables(_right_mul(np.eye(4) * _CONJ)),
+}
+
+
 def haar_quaternion(rng):
     """One Haar-uniform unit quaternion (normalized 4d Gaussian, no rejection).
 

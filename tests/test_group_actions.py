@@ -109,7 +109,7 @@ def test_factor_tables_expand_the_induced_map(factor, lift, rng):
     tables = ga._FACTOR_TABLES[factor]
     for _ in range(20):
         q = l2.haar_quaternion(rng)
-        m = np.einsum("p,pij->ij", q[ga._MONO_A] * q[ga._MONO_B], tables)
+        m = np.einsum("p,pij->ij", q[l2._MONO_A] * q[l2._MONO_B], tables)
         np.testing.assert_allclose(m, l2.induced_map(lift(q)), rtol=0, atol=1e-14)
 
 
@@ -125,7 +125,7 @@ def test_factor_tables_are_bilinear_off_the_sphere(factor, rng):
             cols = [l2.quat_mul(x, l2.quat_conj(q)) for x in e]
         else:
             cols = [l2.quat_mul(q, x) for x in e]
-        m = np.einsum("p,pij->ij", q[ga._MONO_A] * q[ga._MONO_B], tables)
+        m = np.einsum("p,pij->ij", q[l2._MONO_A] * q[l2._MONO_B], tables)
         want = np.column_stack([l2.wedge(cols[i], cols[j]) for i, j in zip(l2.PAIR_I, l2.PAIR_J)])
         np.testing.assert_allclose(m, want, rtol=0, atol=1e-12 * (1.0 + q @ q))
 
