@@ -213,13 +213,20 @@ def _sample_values(r, sign, q1, q2):
 
 
 def _best_sample(r, sign, samples, seed):
-    # The best of the sampled frames and its value from _pair_values; only
-    # that frame is built.
+    # The best of the sampled frames (the first, on a tie) and its value from
+    # _pair_values; the q1 draws, then the q2 draws, come in blocks of
+    # lambda2.HAAR_BLOCK rows and are scored block by block, and only the
+    # best frame is built.
     rng = np.random.default_rng(seed)
-    q1 = lambda2.haar_quaternions(rng, samples)
-    q2 = lambda2.haar_quaternions(rng, samples)
-    best = int(np.argmin(_sample_values(r, sign, q1, q2)))
-    g = lambda2._quat_to_rot_batch(q1[best : best + 1], q2[best : best + 1])
+    q1 = list(lambda2.haar_blocks(rng, samples))
+    q2 = list(lambda2.haar_blocks(rng, samples))
+    best, low = None, np.inf
+    for a, b in zip(q1, q2):
+        vals = _sample_values(r, sign, a, b)
+        k = int(np.argmin(vals))
+        if best is None or vals[k] < low:
+            best, low = (a[k : k + 1], b[k : k + 1]), vals[k]
+    g = lambda2._quat_to_rot_batch(*best)
     return g[0], float(_pair_values(r, g, _FLIPS[sign])[0])
 
 
@@ -287,16 +294,19 @@ def _polish_frame(r, g, flip, f0):
     # Hessian with its eigenvalues made positive, is cut to norm 1, and is
     # searched with _LINE_TRIALS halvings at once from t = 1 (one stacked
     # projection, one objective call).  Every value comes from _pair_values;
-    # the derivatives only choose where to evaluate it.  Returns the value,
-    # the number of steps taken and why the descent stopped: "gradient",
-    # "no_descent" or "cap".
+    # the derivatives only choose where to evaluate it.  The gradient stop
+    # and the Hessian floor scale with |R| + |f|, so the result does not
+    # depend on the operator's scale, and the zero operator stops at once.
+    # Returns the value, the number of steps taken and why the descent
+    # stopped: "gradient", "no_descent" or "cap".
     x, _ = _POLISH_TABLES[flip]
     t = 0.5 ** np.arange(_LINE_TRIALS)
+    scale = float(np.linalg.norm(r))
     fval = f0
     for step in range(POLISH_STEPS):
         grad, hess = _frame_derivatives(r, g, flip)
-        tol = 1e-11 * (1.0 + abs(fval))
-        if float(np.linalg.norm(grad)) < tol:
+        tol = 1e-11 * (scale + abs(fval))
+        if float(np.linalg.norm(grad)) <= tol:
             return fval, step, "gradient"
         lam, vec = np.linalg.eigh(hess)
         d = -vec @ ((vec.T @ grad) / np.maximum(np.abs(lam), tol))

@@ -47,11 +47,17 @@ _MOMENT_PATH = np.einsum_path(
 )[0]
 
 
-def _moment_average(r, q, factor):
-    # Mean of M(q)^T R M(q) over the rows of q, through the Gram matrix G of
-    # their degree-two monomials: sum_{P,Q} G_PQ C_P^T R C_Q, no per-row map.
-    q2 = lambda2._monomials(q)
-    g = (q2.T @ q2) / q.shape[0]
+def _moment_average(r, blocks, factor):
+    # Mean of M(q)^T R M(q) over the rows q of an iterable of (m, 4) blocks,
+    # through the Gram matrix G of their degree-two monomials, accumulated
+    # block by block: sum_{P,Q} G_PQ C_P^T R C_Q, no per-row map.
+    g = np.zeros((10, 10))
+    rows = 0
+    for q in blocks:
+        q2 = lambda2._monomials(q)
+        g += q2.T @ q2
+        rows += len(q)
+    g /= rows
     c = _FACTOR_TABLES[factor]
     return np.einsum("pq,pki,kl,qlj->ij", g, c, r, c, optimize=_MOMENT_PATH)
 
@@ -72,7 +78,8 @@ def average(r, factor="left", n=10000, seed=0):
 
     The mean over the n Haar samples is taken through their fourth moments:
     each sample contributes one row of ten quadratic monomials, and no
-    per-sample rotation or induced map is formed.
+    per-sample rotation or induced map is formed.  The samples come in
+    blocks of lambda2.HAAR_BLOCK rows, so the memory does not grow with n.
     """
     r = require_bianchi_valid(r)
     _check_factor(factor)
@@ -80,8 +87,7 @@ def average(r, factor="left", n=10000, seed=0):
     if n < 1:
         raise ValueError("n must be positive")
     rng = np.random.default_rng(seed)
-    q = lambda2.haar_quaternions(rng, n)
-    return _moment_average(r, q, factor)
+    return _moment_average(r, lambda2.haar_blocks(rng, n), factor)
 
 
 def group_average(r, factor="left"):
@@ -93,7 +99,7 @@ def group_average(r, factor="left"):
     """
     r = require_bianchi_valid(r)
     _check_factor(factor)
-    return _moment_average(r, BINARY_TETRAHEDRAL, factor)
+    return _moment_average(r, [BINARY_TETRAHEDRAL], factor)
 
 
 def lift_selfdual_rotation(rho):

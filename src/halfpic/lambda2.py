@@ -309,6 +309,21 @@ def haar_quaternions(rng, n):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+# Rows per block of haar_blocks: the (HAAR_BLOCK, 10) monomials of a block
+# take 80 KiB, under glibc's 128 KiB mmap threshold, so a blocked consumer
+# reuses heap memory instead of faulting fresh pages in on every call.
+HAAR_BLOCK = 1024
+
+
+def haar_blocks(rng, n):
+    """The rows of haar_quaternions(rng, n) in consecutive blocks of
+    HAAR_BLOCK rows (the last one may be shorter), each one haar_quaternions
+    call, so the blocks concatenate to the one-batch draw bit for bit."""
+    n = int(n)
+    for start in range(0, n, HAAR_BLOCK):
+        yield haar_quaternions(rng, min(HAAR_BLOCK, n - start))
+
+
 def rot3_of_quat(q):
     """Standard SO(3) matrix of v -> q v q^(-1) on the imaginary part (x,y,z)."""
     q = _check_unit_quaternion(q, "q")

@@ -371,6 +371,28 @@ def test_unpolished_value_is_the_best_sampled_frame():
     assert clear >= 100
 
 
+def _reference_best_sample(r, sign, samples, seed):
+    # Reference: one haar_quaternions draw per factor, scored in one call.
+    rng = np.random.default_rng(seed)
+    q1 = l2.haar_quaternions(rng, samples)
+    q2 = l2.haar_quaternions(rng, samples)
+    best = int(np.argmin(cones._sample_values(r, sign, q1, q2)))
+    g = l2._quat_to_rot_batch(q1[best : best + 1], q2[best : best + 1])
+    return g[0], float(cones._pair_values(r, g, 1.0 if sign == "+" else -1.0)[0])
+
+
+@pytest.mark.parametrize("samples", [1, 16, 1000, 4096, 10_000])
+def test_blocked_best_sample_equals_one_full_draw(samples):
+    ops = [_bianchi(600 + k, norm=norm) for k, norm in enumerate([1.0, 1e6, 1e-6])]
+    ops.append(cones.shift_to_margin(_bianchi(603, norm=1.0), "ic_minus", 0.0))
+    for k, r in enumerate(ops):
+        for sign in ("+", "-"):
+            g, f = cones._best_sample(r, sign, samples, k)
+            want_g, want_f = _reference_best_sample(r, sign, samples, k)
+            assert np.array_equal(g, want_g)
+            assert f == want_f
+
+
 def test_stacked_projection_equals_the_per_matrix_reference(rng):
     m = rng.standard_normal((6, 4, 4))
     m[2] = np.diag([1.0, 1.0, 1.0, -1.0]) @ l2.quat_to_rot(
@@ -447,6 +469,8 @@ def _tie_operators():
 
 
 def test_min_isotropic_is_exact_at_tied_top_eigenvalues():
+    # relative to |R| alone: the polish stop scales with the operator, so the
+    # 1e-6 copies end as close to their margins as the unit ones
     for base in _tie_operators():
         for scale in (1.0, 1e6, 1e-6):
             r = scale * base
@@ -454,7 +478,16 @@ def test_min_isotropic_is_exact_at_tied_top_eigenvalues():
                 want = 2.0 * cones.two_positive_margin(block)
                 for samples in (1, 16, 256, 4096):
                     got = cones.min_isotropic(r, sign, samples=samples, seed=samples)
-                    assert abs(got - want) <= 1e-12 * (1.0 + np.linalg.norm(r))
+                    assert abs(got - want) <= 1e-12 * np.linalg.norm(r)
+
+
+def test_the_zero_operator_stops_the_polish_at_once():
+    zero = np.zeros((6, 6))
+    for sign, flip in (("+", 1.0), ("-", -1.0)):
+        g, f0 = cones._best_sample(zero, sign, 16, 0)
+        assert f0 == 0.0
+        assert cones._polish_frame(zero, g, flip, f0) == (0.0, 0, "gradient")
+        assert cones.min_isotropic(zero, sign, samples=16) == 0.0
 
 
 def _iso_frames_pool(n):

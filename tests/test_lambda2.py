@@ -296,6 +296,17 @@ def test_haar_batch_consumes_the_stream_like_sequential_draws():
     assert batch_rng.bit_generator.state == rng.bit_generator.state
 
 
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 4096, 50_000])
+def test_haar_blocks_are_the_one_batch_draw(n):
+    rng = np.random.default_rng(n)
+    blocks = list(l2.haar_blocks(rng, n))
+    assert [len(b) for b in blocks[:-1]] == [l2.HAAR_BLOCK] * (len(blocks) - 1)
+    assert 1 <= len(blocks[-1]) <= l2.HAAR_BLOCK
+    batch_rng = np.random.default_rng(n)
+    assert np.array_equal(np.concatenate(blocks), l2.haar_quaternions(batch_rng, n))
+    assert rng.bit_generator.state == batch_rng.bit_generator.state
+
+
 def test_haar_samples_have_near_zero_mean():
     q = l2.haar_quaternions(np.random.default_rng(0), 20000)
     # each component of the mean has sigma 1/(2 sqrt n); 0.02 is a wide cushion

@@ -35,6 +35,18 @@ def test_averaging_decay_runs(capsys):
     assert [line.split(",")[0] for line in lines[1:]] == ["200", "800"]
 
 
+def test_kernel_costs_runs(capsys):
+    code = _load("kernel_costs").main(["--calls", "2", "--warmup", "1"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert lines[0] == "kernel,cpu_ms_p50,minor_faults_per_call"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[0] for row in rows] == [
+        "min_isotropic(4096)", "average(5e4)", "invariance_probe(n=8)", "integrate(10 steps)"
+    ]
+    assert all(float(ms) > 0.0 and float(faults) >= 0.0 for _, ms, faults in rows)
+
+
 def test_golden_outputs_are_reproducible(tmp_path):
     golden = _load("golden_outputs")
     trees = []
