@@ -9,11 +9,12 @@ the faults of later large temporaries, so the kernels never share one.
 
     PYTHONPATH=src python3 scripts/kernel_costs.py [--calls N] [--warmup N]
 
-prints one CSV row per kernel: name, median CPU ms per call, minor page
-faults per call.
+prints one CSV row per kernel: name (quoted where it holds a comma),
+median CPU ms per call, minor page faults per call.
 """
 
 import argparse
+import csv
 import json
 import os
 import resource
@@ -33,6 +34,7 @@ def _kernels():
     ten_steps = flow.FlowParams(t_max=1e-2, dt=1e-3)
     return {
         "min_isotropic(4096)": lambda: cones.min_isotropic(r, "+", samples=4096, seed=0),
+        "min_isotropic(4096,-)": lambda: cones.min_isotropic(r, "-", samples=4096, seed=0),
         "average(5e4)": lambda: group_actions.average(r, "left", n=50_000, seed=0),
         "invariance_probe(n=8)": lambda: flow.invariance_probe("ic_plus", n=8, seed=0),
         "integrate(10 steps)": lambda: flow.integrate(r, ten_steps),
@@ -69,13 +71,14 @@ def main(argv=None):
     # the child imports the same halfpic as this process
     src = os.path.dirname(os.path.dirname(os.path.abspath(halfpic.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    print("kernel,cpu_ms_p50,minor_faults_per_call")
+    out = csv.writer(sys.stdout, lineterminator="\n")
+    out.writerow(["kernel", "cpu_ms_p50", "minor_faults_per_call"])
     for name in _kernels():
         cmd = [sys.executable, os.path.abspath(__file__), "--child", name,
                "--calls", str(args.calls), "--warmup", str(args.warmup)]
         proc = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
         res = json.loads(proc.stdout)
-        print(f"{name},{res['cpu_ms_p50']:.3f},{res['faults_per_call']:.1f}")
+        out.writerow([name, f"{res['cpu_ms_p50']:.3f}", f"{res['faults_per_call']:.1f}"])
     return 0
 
 

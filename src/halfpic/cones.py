@@ -6,11 +6,12 @@ curvature minimization used as an independent cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
 from . import lambda2
-from .curvature import require_bianchi_valid
+from .curvature import _norm, require_bianchi_valid
 from .lambda2 import MINUS_BASIS, PLUS_BASIS
 
 CONE_IDS = ("scal", "ic_plus", "ic_minus", "ic")
@@ -83,7 +84,7 @@ def shift_to_margin(r, cone, target):
 
 
 def default_boundary_tol(r):
-    return BOUNDARY_TOL * (1.0 + float(np.linalg.norm(r)))
+    return BOUNDARY_TOL * (1.0 + float(_norm(r)))
 
 
 @dataclass
@@ -202,31 +203,45 @@ def _sample_tables(sign):
 _SAMPLE_TABLES = {sign: _sample_tables(sign) for sign in _FLIPS}
 
 
-def _sample_values(r, sign, q1, q2):
-    # The objective of the frames x -> q1 x q2^(-1), through the 10x10
-    # quartic form K = U R U^T + V R V^T in the monomials of the one
-    # quaternion that moves u and v (q1 for "+", q2 for "-").
+def _quartic_form(r, sign):
+    # The 10x10 quartic form K = U R U^T + V R V^T whose value on the
+    # monomials of the quaternion that moves u and v (q1 for "+", q2 for
+    # "-") is the objective of the frames x -> q1 x q2^(-1).
     t = _SAMPLE_TABLES[sign]
-    k = (t @ r @ t.swapaxes(1, 2)).sum(axis=0)
-    m = lambda2._monomials(q1 if sign == "+" else q2)
+    return (t @ r @ t.swapaxes(1, 2)).sum(axis=0)
+
+
+def _sample_values(k, q):
+    # The objective of each row of q, the moving factor, through K.
+    m = lambda2._monomials(q)
     return ((m @ k) * m).sum(axis=1)
 
 
 def _best_sample(r, sign, samples, seed):
     # The best of the sampled frames (the first, on a tie) and its value from
-    # _pair_values; the q1 draws, then the q2 draws, come in blocks of
-    # lambda2.HAAR_BLOCK rows and are scored block by block, and only the
-    # best frame is built.
+    # _pair_values.  The q1 draws, then the q2 draws, come from one stream in
+    # lambda2.HAAR_BLOCK-row blocks, as lambda2.haar_blocks draws them; only
+    # the moving factor goes through haar_blocks and is scored.  The idle
+    # factor is drawn raw (lambda2._raw_blocks), to consume the stream as the
+    # full draw does, and only its winning row is normalized.  For "+" the
+    # idle q2 comes last, so its draw stops at the block that holds the
+    # winner; for "-" the idle q1 comes first and is kept raw until the
+    # winner is known.
     rng = np.random.default_rng(seed)
-    q1 = list(lambda2.haar_blocks(rng, samples))
-    q2 = list(lambda2.haar_blocks(rng, samples))
+    idle = list(lambda2._raw_blocks(rng, samples)) if sign == "-" else None
+    k = _quartic_form(r, sign)
     best, low = None, np.inf
-    for a, b in zip(q1, q2):
-        vals = _sample_values(r, sign, a, b)
-        k = int(np.argmin(vals))
-        if best is None or vals[k] < low:
-            best, low = (a[k : k + 1], b[k : k + 1]), vals[k]
-    g = lambda2._quat_to_rot_batch(*best)
+    for b, q in enumerate(lambda2.haar_blocks(rng, samples)):
+        vals = _sample_values(k, q)
+        j = int(np.argmin(vals))
+        if best is None or vals[j] < low:
+            best, low, moving = (b, j), vals[j], q[j : j + 1]
+    block, row = best
+    if idle is None:
+        idle = list(islice(lambda2._raw_blocks(rng, samples), block + 1))
+    other = lambda2._unit_rows(idle[block][row : row + 1])
+    q1, q2 = (moving, other) if sign == "+" else (other, moving)
+    g = lambda2._quat_to_rot_batch(q1, q2)
     return g[0], float(_pair_values(r, g, _FLIPS[sign])[0])
 
 
@@ -295,18 +310,19 @@ def _polish_frame(r, g, flip, f0):
     # searched with _LINE_TRIALS halvings at once from t = 1 (one stacked
     # projection, one objective call).  Every value comes from _pair_values;
     # the derivatives only choose where to evaluate it.  The gradient stop
-    # and the Hessian floor scale with |R| + |f|, so the result does not
-    # depend on the operator's scale, and the zero operator stops at once.
+    # and the Hessian floor scale with |R| + |f|, both norms taken by the
+    # scale-safe curvature._norm, so the result does not depend on the
+    # operator's scale, and the zero operator stops at once.
     # Returns the value, the number of steps taken and why the descent
     # stopped: "gradient", "no_descent" or "cap".
     x, _ = _POLISH_TABLES[flip]
     t = 0.5 ** np.arange(_LINE_TRIALS)
-    scale = float(np.linalg.norm(r))
+    scale = float(_norm(r))
     fval = f0
     for step in range(POLISH_STEPS):
         grad, hess = _frame_derivatives(r, g, flip)
         tol = 1e-11 * (scale + abs(fval))
-        if float(np.linalg.norm(grad)) <= tol:
+        if float(_norm(grad)) <= tol:
             return fval, step, "gradient"
         lam, vec = np.linalg.eigh(hess)
         d = -vec @ ((vec.T @ grad) / np.maximum(np.abs(lam), tol))

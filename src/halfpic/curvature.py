@@ -76,15 +76,31 @@ def bianchi_project(r):
     return r - star_component(r) * HODGE_STAR
 
 
+def _norm(x):
+    # np.linalg.norm(x), bit for bit wherever its sum of squares neither
+    # overflows nor underflows; elsewhere x is first scaled by 2^-e, with e
+    # the binary exponent of max|x|, which is exact, and the norm scaled back.
+    n = np.linalg.norm(x)
+    if 1e-150 < n < np.inf:
+        return n
+    e = np.frexp(np.abs(x).max())[1]
+    return np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e)
+
+
+def _bianchi_defect_and_bound(r):
+    # The star-trace defect of a checked operator and the band it must stay
+    # within, shared by both validity tests.
+    return 3.0 * abs(star_component(r)), BIANCHI_TOL * (1.0 + _norm(r))
+
+
 def is_bianchi_valid(r):
-    r = check_operator(r)
-    return 3.0 * abs(star_component(r)) <= BIANCHI_TOL * (1.0 + np.linalg.norm(r))
+    defect, bound = _bianchi_defect_and_bound(check_operator(r))
+    return defect <= bound
 
 
 def require_bianchi_valid(r, name="R"):
     r = check_operator(r, name=name)
-    defect = 3.0 * abs(star_component(r))
-    bound = BIANCHI_TOL * (1.0 + np.linalg.norm(r))
+    defect, bound = _bianchi_defect_and_bound(r)
     if defect > bound:
         raise OperatorFormatError(
             f"{name} violates the first Bianchi identity (defect {defect:.3e} > {bound:.3e})"

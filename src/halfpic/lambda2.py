@@ -299,14 +299,27 @@ def haar_quaternion(rng):
     return v / np.linalg.norm(v)
 
 
+def _unit_rows(v):
+    # The rows of an (n, 4) array divided by their norms, bit for bit as
+    # v / np.linalg.norm(v, axis=1, keepdims=True): numpy reduces a 4-term
+    # row in this sequential order, and every step here is elementwise, so a
+    # row's bits do not depend on the rows stacked with it.
+    x = v * v
+    s = x[:, 0] + x[:, 1]
+    s += x[:, 2]
+    s += x[:, 3]
+    return v / np.sqrt(s)[:, None]
+
+
 def haar_quaternions(rng, n):
     """n Haar-uniform unit quaternions, rows of an (n, 4) array.
 
-    Consumes the generator stream exactly like n successive calls of
-    haar_quaternion.
+    The raw draw rng.standard_normal((n, 4)) with each row normalized, so it
+    consumes the generator stream exactly like n successive calls of
+    haar_quaternion, and a row normalized alone has the bits it has in the
+    batch.
     """
-    v = rng.standard_normal((int(n), 4))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    return _unit_rows(rng.standard_normal((int(n), 4)))
 
 
 # Rows per block of haar_blocks: the (HAAR_BLOCK, 10) monomials of a block
@@ -318,10 +331,20 @@ HAAR_BLOCK = 1024
 def haar_blocks(rng, n):
     """The rows of haar_quaternions(rng, n) in consecutive blocks of
     HAAR_BLOCK rows (the last one may be shorter), each one haar_quaternions
-    call, so the blocks concatenate to the one-batch draw bit for bit."""
+    call, so the blocks concatenate to the one-batch draw bit for bit.
+    _raw_blocks yields the same blocks unnormalized, from the same stream,
+    for a consumer that reads only a few rows of a factor."""
     n = int(n)
     for start in range(0, n, HAAR_BLOCK):
         yield haar_quaternions(rng, min(HAAR_BLOCK, n - start))
+
+
+def _raw_blocks(rng, n):
+    # The draws of haar_blocks(rng, n) before normalization; _unit_rows on
+    # any of their rows gives that row of haar_blocks bit for bit.
+    n = int(n)
+    for start in range(0, n, HAAR_BLOCK):
+        yield rng.standard_normal((min(HAAR_BLOCK, n - start), 4))
 
 
 def rot3_of_quat(q):

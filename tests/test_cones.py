@@ -337,7 +337,7 @@ def test_quartic_sampler_equals_the_pair_values(rng):
         r = _bianchi(400 + k, norm=norm)
         tol = 1e-14 * (1.0 + np.linalg.norm(r))
         for sign, flip in (("+", 1.0), ("-", -1.0)):
-            got = cones._sample_values(r, sign, q1, q2)
+            got = cones._sample_values(cones._quartic_form(r, sign), q1 if sign == "+" else q2)
             frames = l2._quat_to_rot_batch(q1, q2)
             np.testing.assert_allclose(got, cones._pair_values(r, frames, flip), rtol=0, atol=tol)
             moved = l2._quat_to_rot_batch(q1, other) if sign == "+" else l2._quat_to_rot_batch(other, q2)
@@ -372,16 +372,18 @@ def test_unpolished_value_is_the_best_sampled_frame():
 
 
 def _reference_best_sample(r, sign, samples, seed):
-    # Reference: one haar_quaternions draw per factor, scored in one call.
+    # Reference: one haar_quaternions draw per factor, every row of both
+    # normalized, scored in one call.
     rng = np.random.default_rng(seed)
     q1 = l2.haar_quaternions(rng, samples)
     q2 = l2.haar_quaternions(rng, samples)
-    best = int(np.argmin(cones._sample_values(r, sign, q1, q2)))
+    k = cones._quartic_form(r, sign)
+    best = int(np.argmin(cones._sample_values(k, q1 if sign == "+" else q2)))
     g = l2._quat_to_rot_batch(q1[best : best + 1], q2[best : best + 1])
     return g[0], float(cones._pair_values(r, g, 1.0 if sign == "+" else -1.0)[0])
 
 
-@pytest.mark.parametrize("samples", [1, 16, 1000, 4096, 10_000])
+@pytest.mark.parametrize("samples", [1, 16, 1000, 1023, 1024, 1025, 4096, 10_000])
 def test_blocked_best_sample_equals_one_full_draw(samples):
     ops = [_bianchi(600 + k, norm=norm) for k, norm in enumerate([1.0, 1e6, 1e-6])]
     ops.append(cones.shift_to_margin(_bianchi(603, norm=1.0), "ic_minus", 0.0))
@@ -479,6 +481,18 @@ def test_min_isotropic_is_exact_at_tied_top_eigenvalues():
                 for samples in (1, 16, 256, 4096):
                     got = cones.min_isotropic(r, sign, samples=samples, seed=samples)
                     assert abs(got - want) <= 1e-12 * np.linalg.norm(r)
+
+
+def test_min_isotropic_is_exact_beyond_the_squared_norm_range():
+    # |R|^2 underflows at 1e-160 and overflows at 1e160, so the polish's
+    # scale and gradient stop must not come from a plain norm there
+    base = cv.random_bianchi(np.random.default_rng(17))
+    for scale in (1e-160, 1e160):
+        r = scale * base
+        for sign, block in (("+", cv.plus_block(r)), ("-", cv.minus_block(r))):
+            want = 2.0 * cones.two_positive_margin(block)
+            got = cones.min_isotropic(r, sign, samples=4096, seed=0)
+            assert abs(got - want) <= 1e-14 * abs(want)
 
 
 def test_the_zero_operator_stops_the_polish_at_once():

@@ -67,6 +67,15 @@ def test_projection_fixes_valid_operators():
     assert not cv.is_bianchi_valid(l2.HODGE_STAR)
 
 
+def test_the_star_fails_validation_where_the_squared_norm_overflows():
+    # |R|^2 overflows above about 1.3e154; the band must stay finite there
+    star = 1e155 * l2.HODGE_STAR
+    assert not cv.is_bianchi_valid(star)
+    with pytest.raises(cv.OperatorFormatError, match="Bianchi"):
+        cv.require_bianchi_valid(star)
+    assert cv.is_bianchi_valid(1e155 * _bianchi(0))
+
+
 def test_random_bianchi_is_valid_and_normalized(rng):
     r = cv.random_bianchi(rng, norm=2.5)
     cv.check_operator(r)

@@ -305,6 +305,20 @@ def test_haar_blocks_are_the_one_batch_draw(n):
     batch_rng = np.random.default_rng(n)
     assert np.array_equal(np.concatenate(blocks), l2.haar_quaternions(batch_rng, n))
     assert rng.bit_generator.state == batch_rng.bit_generator.state
+    raw = list(l2._raw_blocks(np.random.default_rng(n), n))
+    assert [len(b) for b in raw] == [len(b) for b in blocks]
+    assert np.array_equal(l2._unit_rows(np.concatenate(raw)), np.concatenate(blocks))
+
+
+@pytest.mark.parametrize("rows", [1, 3, 1024, 4097])
+def test_row_normalizer_is_the_numpy_row_norm_bit_for_bit(rows):
+    rng = np.random.default_rng(rows)
+    for scale in 10.0 ** np.arange(-150, 151, 25):
+        v = scale * rng.standard_normal((rows, 4))
+        want = v / np.linalg.norm(v, axis=1, keepdims=True)
+        assert np.array_equal(l2._unit_rows(v), want)
+        # a row alone has the bits it has in the stack
+        assert np.array_equal(l2._unit_rows(v[-1:]), want[-1:])
 
 
 def test_haar_samples_have_near_zero_mean():

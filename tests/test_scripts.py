@@ -1,5 +1,6 @@
 """Smoke runs of the experiment scripts through their main(argv)."""
 
+import csv
 import importlib.util
 import json
 from pathlib import Path
@@ -40,9 +41,10 @@ def test_kernel_costs_runs(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert code == 0
     assert lines[0] == "kernel,cpu_ms_p50,minor_faults_per_call"
-    rows = [line.split(",") for line in lines[1:]]
+    rows = list(csv.reader(lines[1:]))
     assert [row[0] for row in rows] == [
-        "min_isotropic(4096)", "average(5e4)", "invariance_probe(n=8)", "integrate(10 steps)"
+        "min_isotropic(4096)", "min_isotropic(4096,-)", "average(5e4)", "invariance_probe(n=8)",
+        "integrate(10 steps)",
     ]
     assert all(float(ms) > 0.0 and float(faults) >= 0.0 for _, ms, faults in rows)
 
