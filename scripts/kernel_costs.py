@@ -30,7 +30,9 @@ from halfpic import cones, curvature, flow, group_actions
 
 
 def _kernels():
-    r = curvature.random_bianchi(np.random.default_rng(0), norm=1.0)
+    rng = np.random.default_rng(0)
+    r = curvature.random_bianchi(rng, norm=1.0)
+    stack = np.stack([curvature.random_bianchi(rng, norm=1.0) for _ in range(8)])
     ten_steps = flow.FlowParams(t_max=1e-2, dt=1e-3)
     return {
         "min_isotropic(4096)": lambda: cones.min_isotropic(r, "+", samples=4096, seed=0),
@@ -38,6 +40,8 @@ def _kernels():
         "average(5e4)": lambda: group_actions.average(r, "left", n=50_000, seed=0),
         "invariance_probe(n=8)": lambda: flow.invariance_probe("ic_plus", n=8, seed=0),
         "integrate(10 steps)": lambda: flow.integrate(r, ten_steps),
+        "q_raw(8 operators)": lambda: flow._q_raw(stack),
+        "q_raw(1 operator)": lambda: flow._q_raw(r[None]),
     }
 
 
@@ -78,7 +82,7 @@ def main(argv=None):
                "--calls", str(args.calls), "--warmup", str(args.warmup)]
         proc = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
         res = json.loads(proc.stdout)
-        out.writerow([name, f"{res['cpu_ms_p50']:.3f}", f"{res['faults_per_call']:.1f}"])
+        out.writerow([name, f"{res['cpu_ms_p50']:.4f}", f"{res['faults_per_call']:.1f}"])
     return 0
 
 

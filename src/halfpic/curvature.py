@@ -78,12 +78,13 @@ def bianchi_project(r):
 
 def _norm(x):
     # np.linalg.norm(x), bit for bit wherever its sum of squares neither
-    # overflows nor underflows; elsewhere x is first scaled by 2^-e, with e
-    # the binary exponent of max|x|, which is exact, and the norm scaled back.
-    n = np.linalg.norm(x)
-    if 1e-150 < n < np.inf:
-        return n
-    e = np.frexp(np.abs(x).max())[1]
+    # overflows nor underflows, which max|x| decides before the plain norm
+    # can warn; elsewhere x is first scaled by 2^-e, with e the binary
+    # exponent of max|x|, which is exact, and the norm scaled back.
+    m = np.abs(x).max()
+    if 1e-150 < m < 1e150:
+        return np.linalg.norm(x)
+    e = np.frexp(m)[1]
     return np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e)
 
 

@@ -4,10 +4,12 @@ The sharp operator is defined through the quadratic form
 
     <R# eta, eta> = -1/2 sum_i <[eta, R([eta, R(w_i)])], w_i>
 
-over any orthonormal bivector basis.  The production path contracts the
-precomputed bracket structure constants; the literal bracket evaluation and
-its polarization are kept alongside as the cross-check route and must agree
-to near machine precision.
+over any orthonormal bivector basis, that is R#_ab = -1/2 tr(ad_a R ad_b R)
+symmetrized.  The production path computes the traces as two stacked
+matrix products per operator against tables of the bracket structure
+constants built at import; the literal bracket evaluation and its
+polarization are kept alongside as the cross-check route and must agree to
+near machine precision.
 """
 
 from __future__ import annotations
@@ -28,21 +30,32 @@ BIANCHI_DRIFT_TOL = 1e-8
 
 
 def sharp(r):
-    """Sharp operator R#, symmetric 6x6 (structure-constant contraction)."""
+    """Sharp operator R#, symmetric 6x6 (two stacked structure-constant
+    products)."""
     r = check_operator(r)
     return _sharp_raw(r[None])[0]
 
 
-# AD[a] @ R for every a as one (36, 6) @ (6, 6) product
+# AD[a] @ R for every a as one (36, 6) @ (6, 6) product: row (a, i), column j
 _AD_ROWS = AD.reshape(36, 6)
+# _AD_COLS[k, (j, b)] = -1/4 AD[b, j, k], so R^T @ _AD_COLS holds
+# -1/4 (AD[b] R)[j, i] at row i, column (j, b)
+_AD_COLS = -0.25 * np.ascontiguousarray(AD.transpose(2, 1, 0).reshape(6, 36))
 
 
 def _sharp_raw(r):
-    """R# of each operator of an (n, 6, 6) stack; -1/2 and the symmetrizing
-    1/2 are one exact scaling by -1/4."""
-    t = np.matmul(_AD_ROWS, r).reshape(len(r), 6, 6, 6)
-    s = np.einsum("naij,nbji->nab", t, t)
-    return -0.25 * (s + s.mT)
+    """R# of each operator of an (n, 6, 6) stack.
+
+    R#_ab = -1/2 sym tr(AD[a] R AD[b] R), and the trace is
+    sum_ij (AD[a] R)_ij (AD[b] R)_ji: one (6, 36) @ (36, 6) product per
+    operator of two structure-constant products.  Every product is a
+    per-operator matrix product, so an operator's bits do not depend on its
+    stack mates.  The -1/2 and the symmetrizing 1/2 are one exact scaling by
+    -1/4, carried by the _AD_COLS table.
+    """
+    n = len(r)
+    s = (_AD_ROWS @ r).reshape(n, 6, 36) @ (r.mT @ _AD_COLS).reshape(n, 36, 6)
+    return s + s.mT
 
 
 def sharp_quadratic_form(r, eta):
@@ -77,7 +90,9 @@ def q_vf(r):
 
 def _q_raw(r):
     """Q of an (n, 6, 6) stack."""
-    return r @ r + _sharp_raw(r)
+    q = _sharp_raw(r)
+    q += r @ r
+    return q
 
 
 def bilinear_b(r, s):
@@ -174,16 +189,51 @@ def _step_factors(dt):
     return h, 0.5 * h, h / 6.0
 
 
+def _step_counts(t_max, dt):
+    """Full steps of each trajectory, and the mask of those that end with a
+    partial step of t_max - full * dt: all but those whose t_max / dt lies
+    within 1e-9 of an integer."""
+    x = t_max / dt
+    full = np.floor(x + 1e-9)
+    return full.astype(int), x - full > 1e-9
+
+
+def _rk4_step(r, h, half, sixth):
+    """One classical RK4 step of a stack, r + h/6 (((k1 + 2 k2) + 2 k3) + k4),
+    summed in place in that order, each k freed as soon as it is summed; the
+    stage inputs share one buffer."""
+    acc = _q_raw(r)
+    y = np.multiply(acc, half)
+    y += r
+    k = _q_raw(y)
+    np.multiply(k, half, out=y)
+    y += r
+    k *= 2.0
+    acc += k
+    del k
+    k = _q_raw(y)
+    np.multiply(k, h, out=y)
+    y += r
+    k *= 2.0
+    acc += k
+    del k
+    acc += _q_raw(y)
+    acc *= sixth
+    acc += r
+    return acc
+
+
 def _rk4(r, params, sample):
     """Classical RK4 of dR/dt = Q(R) on a validated (n, 6, 6) stack.
 
     Each trajectory has its own fixed step (default_dt unless params.dt is
-    set) and step count, and stops on its own.  sample(idx, r, m, nrm) gets
-    the operators, margins and norms of the trajectories still running, idx
-    their positions in the stack: at t=0 and after every step.  A step that
-    overflows to a non-finite operator (numpy warns) ends its trajectory as
-    a blowup and is not sampled.  Returns the termination and the step of
-    each trajectory.
+    set) and step count, ends at t_max with a partial last step where the
+    step does not divide it, and stops on its own.  sample(idx, r, m, nrm)
+    gets the operators, margins and norms of the trajectories still running,
+    idx their positions in the stack: at t=0 and after every step.  A step
+    that overflows to a non-finite operator ends its trajectory as a blowup
+    and is not sampled.  Returns the termination and the step of each
+    trajectory.
     """
     if not isinstance(params, FlowParams):
         raise TypeError("params must be a FlowParams")
@@ -201,52 +251,58 @@ def _rk4(r, params, sample):
         if (scal0 <= 0.0).any():
             raise ValueError("normalization requires positive initial scalar curvature")
 
-    n_steps = [int(x) for x in np.floor(params.t_max / dt + 1e-9)]
-    steps, last = np.array(n_steps), min(n_steps)
+    full, partial = _step_counts(params.t_max, dt)
+    steps, tail = full + partial, params.t_max - full * dt
     terminations = ["completed"] * len(r)
     idx = np.arange(len(r))
+
+    def schedule(k):
+        # the step factors of the running trajectories after step k, and the
+        # last step before a trajectory ends or turns to its partial step
+        f = full[idx]
+        h, half, sixth = _step_factors(np.where(f > k, dt[idx], tail[idx]))
+        return h, half, sixth, int(np.where(f > k, f, steps[idx]).min())
+
     _record(r, idx, params, sample)  # no stop at t=0
-    h, half, sixth = _step_factors(dt)
+    h, half, sixth, last = schedule(0)
     k = 0
-    while True:
-        k += 1
-        k1 = _q_raw(r)
-        k2 = _q_raw(r + half * k1)
-        k3 = _q_raw(r + half * k2)
-        k4 = _q_raw(r + h * k3)
-        r = r + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        lost = _overflowed(r)
-        if lost is not None:
-            for j in np.flatnonzero(lost):
-                terminations[idx[j]] = "blowup"
-            idx, r, steps = idx[~lost], r[~lost], steps[~lost]
+    # an overflowing step is caught by _overflowed, not by a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            k += 1
+            r = _rk4_step(r, h, half, sixth)
+            lost = _overflowed(r)
+            if lost is not None:
+                for j in np.flatnonzero(lost):
+                    terminations[idx[j]] = "blowup"
+                idx, r = idx[~lost], r[~lost]
+                if not len(idx):
+                    return terminations, dt
+            if params.normalize:
+                s_now = 2.0 * np.trace(r, axis1=-2, axis2=-1)
+                if np.count_nonzero(s_now <= 0.0):
+                    raise RuntimeError("scalar curvature became nonpositive under normalization")
+                r = r * (scal0[idx] / s_now)[:, None, None]
+            blowup, stop = _record(r, idx, params, sample)
+            # after a loss, fall through to refresh the step factors and `last`
+            if k < last and not np.count_nonzero(stop) and lost is None:
+                continue
+            done = stop | (steps[idx] == k)
+            for j in np.flatnonzero(done):
+                terminations[idx[j]] = (
+                    "blowup" if blowup[j] else "margin_violation" if stop[j] else "completed"
+                )
+            keep = ~done
+            idx = idx[keep]
             if not len(idx):
                 return terminations, dt
-        if params.normalize:
-            s_now = 2.0 * np.trace(r, axis1=-2, axis2=-1)
-            if np.count_nonzero(s_now <= 0.0):
-                raise RuntimeError("scalar curvature became nonpositive under normalization")
-            r = r * (scal0[idx] / s_now)[:, None, None]
-        blowup, stop = _record(r, idx, params, sample)
-        # after a loss, fall through to refresh the step factors and `last`
-        if k < last and not np.count_nonzero(stop) and lost is None:
-            continue
-        done = stop | (steps == k)
-        for j in np.flatnonzero(done):
-            terminations[idx[j]] = (
-                "blowup" if blowup[j] else "margin_violation" if stop[j] else "completed"
-            )
-        keep = ~done
-        idx = idx[keep]
-        if not len(idx):
-            return terminations, dt
-        r, steps = r[keep], steps[keep]
-        h, half, sixth = _step_factors(dt[idx])
-        last = int(steps.min())
+            r = r[keep]
+            h, half, sixth, last = schedule(k)
 
 
 def integrate(r0, params):
-    """Classical RK4 integration of dR/dt = Q(R) with fixed step.
+    """Classical RK4 integration of dR/dt = Q(R) with fixed step, and a
+    partial last step where the step does not divide t_max.
 
     Optionally rescales after every step to hold the scalar curvature at its
     initial value.  Terminates early on norm blowup or, when a floor is
@@ -266,8 +322,12 @@ def integrate(r0, params):
         norms.append(nrm.item(0))
 
     (termination,), dt = _rk4(r, params, sample)
+    t = np.arange(len(ops)) * dt[0]
+    full, _ = _step_counts(params.t_max, dt)
+    if len(ops) == full[0] + 2:
+        t[-1] = params.t_max  # the sample after the partial last step
     return FlowTrajectory(
-        t=np.arange(len(ops)) * dt[0],
+        t=t,
         operators=ops,
         scal=np.array(margins["scal"]),
         margins={c: np.array(v) for c, v in margins.items()},
@@ -365,8 +425,10 @@ def invariance_probe(
     if params is None:
         params = FlowParams(t_max=0.05, dt=None, normalize=False)
     n = int(n)
+    if n < 1:
+        raise ValueError("n must be positive")
     n_boundary = int(round(boundary_fraction * n))
-    seeds = []
+    seeds = np.empty((n, 6, 6))
     for k in range(n):
         rng = np.random.default_rng((seed, k))
         r0 = curvature.random_bianchi(rng, norm=1.0)
@@ -374,7 +436,7 @@ def invariance_probe(
             target = rng.uniform(0.0, 1e-6)
         else:
             target = rng.uniform(margin_low, margin_high)
-        seeds.append(cones.shift_to_margin(r0, cone, target))
+        seeds[k] = cones.shift_to_margin(r0, cone, target)
     minima = np.full(n, np.inf)
     minima_norm = np.full(n, np.inf)
 
@@ -383,7 +445,7 @@ def invariance_probe(
         minima[idx] = np.minimum(minima[idx], vals)
         minima_norm[idx] = np.minimum(minima_norm[idx], vals / (1.0 + nrm))
 
-    ends, _ = _rk4(np.stack(seeds), params, sample)
+    ends, _ = _rk4(seeds, params, sample)
     worst = int(np.argmin(minima_norm))
     return ProbeReport(
         cone=cone,

@@ -2,6 +2,7 @@
 irreducible decomposition, model spaces, and the serialization format."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,15 @@ def test_the_star_fails_validation_where_the_squared_norm_overflows():
     with pytest.raises(cv.OperatorFormatError, match="Bianchi"):
         cv.require_bianchi_valid(star)
     assert cv.is_bianchi_valid(1e155 * _bianchi(0))
+
+
+def test_the_band_beyond_the_squared_norm_range_is_warning_free():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e155, 1e300):
+            assert not cv.is_bianchi_valid(scale * l2.HODGE_STAR)
+        for scale in (1e-300, 1e-160, 1e155, 1e300):
+            assert cv.is_bianchi_valid(scale * _bianchi(0))
 
 
 def test_random_bianchi_is_valid_and_normalized(rng):

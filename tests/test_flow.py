@@ -1,5 +1,7 @@
 """The quadratic curvature vector field and its fixed-step integrator."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,31 @@ def test_stacked_q_matches_each_operator_alone():
     for k in range(len(ops)):
         np.testing.assert_array_equal(q[k], flow._q_raw(ops[k : k + 1])[0])
         np.testing.assert_array_equal(q[k], flow.q_vf(ops[k]))
+    # every stack size a probe step meets
+    rng = np.random.default_rng(40)
+    for norm in (1e-3, 1.0, 1e6):
+        for n in range(1, 9):
+            ops = np.stack([cv.random_bianchi(rng, norm=norm) for _ in range(n)])
+            q = flow._q_raw(ops)
+            for k in range(n):
+                np.testing.assert_array_equal(q[k], flow._q_raw(ops[k : k + 1])[0])
+
+
+def test_q_matches_square_plus_polarized_sharp():
+    # also off the Bianchi subspace, where only the symmetry of R is used
+    g = np.random.default_rng(41).standard_normal((6, 6))
+    ops = [_bianchi(seed, norm=10.0 ** (seed - 3)) for seed in range(7)] + [g + g.T]
+    for r in ops:
+        want = r @ r + flow.sharp_by_polarization(r)
+        err = np.abs(flow._q_raw(r[None])[0] - want).max()
+        assert err <= 1e-14 * (1.0 + np.linalg.norm(r) ** 2)
+
+
+def test_q_is_exactly_homogeneous_under_powers_of_two():
+    ops = np.stack([_bianchi(seed, norm=1.0) for seed in range(5)])
+    q = flow._q_raw(ops)
+    for k in (-40, 5, 60):
+        np.testing.assert_array_equal(flow._q_raw(np.ldexp(ops, k)), np.ldexp(q, 2 * k))
 
 
 def test_bilinear_b_polarizes_q():
@@ -162,6 +189,23 @@ def test_normalized_flow_fixes_the_fubini_study_ray():
     assert drift / 0.5 <= 1e-7
 
 
+def test_a_step_that_does_not_divide_t_max_ends_at_t_max():
+    r0 = _bianchi(12, norm=1.0)
+    traj = flow.integrate(r0, flow.FlowParams(t_max=0.1, dt=0.03))
+    assert traj.termination == "completed"
+    assert len(traj) == 5
+    np.testing.assert_array_equal(traj.t[:4], np.arange(4) * 0.03)
+    assert traj.t[-1] == 0.1
+    # the partial last step lands on the fine solution at t_max
+    fine = flow.integrate(r0, flow.FlowParams(t_max=0.1, dt=1e-4)).operators[-1]
+    assert np.abs(traj.operators[-1] - fine).max() <= 1e-5
+    # no partial step where t_max / dt is an integer up to rounding
+    for t_max, dt in ((0.01, 1e-3), (0.3, 0.1), (1e-3, 1e-5)):
+        traj = flow.integrate(np.eye(6), flow.FlowParams(t_max=t_max, dt=dt))
+        assert len(traj) == round(t_max / dt) + 1
+        np.testing.assert_array_equal(traj.t, np.arange(len(traj)) * dt)
+
+
 def test_blowup_termination():
     traj = flow.integrate(np.eye(6), flow.FlowParams(t_max=0.1, dt=1e-3, blowup_norm=3.0))
     assert traj.termination == "blowup"
@@ -178,7 +222,8 @@ _OVERFLOW_PARAMS = flow.FlowParams(t_max=1e-3, dt=1e-5, blowup_norm=1e300)
 
 
 def test_a_non_finite_step_ends_as_blowup():
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         traj = flow.integrate(_overflowing_seed(), _OVERFLOW_PARAMS)
     assert traj.termination == "blowup"
     assert 1 < len(traj) < 101
@@ -188,7 +233,6 @@ def test_a_non_finite_step_ends_as_blowup():
         assert np.isfinite(values).all()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_an_overflowing_trajectory_leaves_its_stack_mates_alone():
     # the default steps differ, and the mate (flowing towards 0) still runs
     # when the other trajectory's step overflows, so its step factors change
@@ -233,7 +277,8 @@ def test_trajectory_operators_are_independent_arrays():
 
 def test_mid_flow_bianchi_drift_is_detected(monkeypatch):
     # a vector field with a star component leaves the Bianchi subspace
-    monkeypatch.setattr(flow, "_q_raw", lambda r: l2.HODGE_STAR)
+    # a new stack per call, as _q_raw returns: the RK4 step sums into it
+    monkeypatch.setattr(flow, "_q_raw", lambda r: np.repeat(l2.HODGE_STAR[None], len(r), axis=0))
     with pytest.raises(RuntimeError, match="Bianchi drift .* exceeded tolerance mid-flow"):
         flow.integrate(np.eye(6), flow.FlowParams(t_max=0.01, dt=1e-3))
 
@@ -447,3 +492,6 @@ def test_probe_parameter_validation():
         flow.invariance_probe("sectional", n=2)
     with pytest.raises(ValueError, match="boundary_fraction"):
         flow.invariance_probe("ic", n=2, boundary_fraction=1.5)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n must be positive"):
+            flow.invariance_probe("ic", n=n)

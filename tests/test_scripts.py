@@ -44,7 +44,7 @@ def test_kernel_costs_runs(capsys):
     rows = list(csv.reader(lines[1:]))
     assert [row[0] for row in rows] == [
         "min_isotropic(4096)", "min_isotropic(4096,-)", "average(5e4)", "invariance_probe(n=8)",
-        "integrate(10 steps)",
+        "integrate(10 steps)", "q_raw(8 operators)", "q_raw(1 operator)",
     ]
     assert all(float(ms) > 0.0 and float(faults) >= 0.0 for _, ms, faults in rows)
 
