@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Per-call cost of the hot kernels: median CPU time and minor page faults.
+"""Per-call cost of the hot kernels: CPU time quartiles and minor page faults.
 
 Each kernel runs in a fresh Python process: a few warm-up calls, then timed
 calls, each measured by process_time and by the minor page faults that
@@ -9,8 +9,10 @@ the faults of later large temporaries, so the kernels never share one.
 
     PYTHONPATH=src python3 scripts/kernel_costs.py [--calls N] [--warmup N]
 
-prints one CSV row per kernel: name (quoted where it holds a comma),
-median CPU ms per call, minor page faults per call.
+prints one CSV row per kernel: name (quoted where it holds a comma), the
+median, first and third quartile of the CPU ms per call, and the minor page
+faults per call.  The two margin rows show the fixed and the per-operator
+cost of the margin kernel that the flow record calls once per block.
 """
 
 import argparse
@@ -18,7 +20,6 @@ import csv
 import json
 import os
 import resource
-import statistics
 import subprocess
 import sys
 from time import process_time
@@ -32,7 +33,7 @@ from halfpic import cones, curvature, flow, group_actions
 def _kernels():
     rng = np.random.default_rng(0)
     r = curvature.random_bianchi(rng, norm=1.0)
-    stack = np.stack([curvature.random_bianchi(rng, norm=1.0) for _ in range(8)])
+    stack = np.stack([curvature.random_bianchi(rng, norm=1.0) for _ in range(32)])
     ten_steps = flow.FlowParams(t_max=1e-2, dt=1e-3)
     return {
         "min_isotropic(4096)": lambda: cones.min_isotropic(r, "+", samples=4096, seed=0),
@@ -40,13 +41,16 @@ def _kernels():
         "average(5e4)": lambda: group_actions.average(r, "left", n=50_000, seed=0),
         "invariance_probe(n=8)": lambda: flow.invariance_probe("ic_plus", n=8, seed=0),
         "integrate(10 steps)": lambda: flow.integrate(r, ten_steps),
-        "q_raw(8 operators)": lambda: flow._q_raw(stack),
+        "q_raw(8 operators)": lambda: flow._q_raw(stack[:8]),
         "q_raw(1 operator)": lambda: flow._q_raw(r[None]),
+        "margins(1 operator)": lambda: cones._margins(r[None]),
+        "margins(32 operators)": lambda: cones._margins(stack),
     }
 
 
 def measure(name, calls, warmup):
-    """Median CPU ms and minor faults per call of one kernel, in this process."""
+    """CPU ms quartiles and minor faults per call of one kernel, in this
+    process."""
     kernel = _kernels()[name]
     for _ in range(warmup):
         kernel()
@@ -57,7 +61,8 @@ def measure(name, calls, warmup):
         kernel()
         times.append(process_time() - start)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    return {"cpu_ms_p50": 1e3 * statistics.median(times), "faults_per_call": faults / calls}
+    p25, p50, p75 = 1e3 * np.percentile(times, [25, 50, 75])
+    return {"cpu_ms_p50": p50, "cpu_ms_p25": p25, "cpu_ms_p75": p75, "faults_per_call": faults / calls}
 
 
 def main(argv=None):
@@ -76,13 +81,14 @@ def main(argv=None):
     src = os.path.dirname(os.path.dirname(os.path.abspath(halfpic.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = csv.writer(sys.stdout, lineterminator="\n")
-    out.writerow(["kernel", "cpu_ms_p50", "minor_faults_per_call"])
+    out.writerow(["kernel", "cpu_ms_p50", "cpu_ms_p25", "cpu_ms_p75", "minor_faults_per_call"])
     for name in _kernels():
         cmd = [sys.executable, os.path.abspath(__file__), "--child", name,
                "--calls", str(args.calls), "--warmup", str(args.warmup)]
         proc = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
         res = json.loads(proc.stdout)
-        out.writerow([name, f"{res['cpu_ms_p50']:.4f}", f"{res['faults_per_call']:.1f}"])
+        ms = [f"{res[key]:.4f}" for key in ("cpu_ms_p50", "cpu_ms_p25", "cpu_ms_p75")]
+        out.writerow([name, *ms, f"{res['faults_per_call']:.1f}"])
     return 0
 
 

@@ -5,6 +5,7 @@ curvature minimization used as an independent cross-check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -122,10 +123,13 @@ def membership(r, tol=None):
 
     Interior within tol of a half cone reads PIC+/-, the closure reads
     NNIC+/-, two-sided labels take precedence, anything else is neither.
+    tol must be finite and nonnegative.
     """
     r = require_bianchi_valid(r)
     if tol is None:
         tol = default_boundary_tol(r)
+    elif not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     margins = {c: float(m) for c, m in _margins(r).items()}
     classification = _classify(margins["ic_plus"], margins["ic_minus"], tol)
     return MembershipReport(margins=margins, classification=classification, tol=tol)

@@ -149,29 +149,53 @@ _fast_margins = cones._margins
 # trace(R HODGE_STAR) as one dot per flattened operator
 _STAR_FLAT = lambda2.HODGE_STAR.T.ravel()
 
+# Operator-steps held in one record block: a block of a stack of m running
+# trajectories spans max(1, RECORD_ROWS // m) steps.
+RECORD_ROWS = 32
 
-def _record(r, idx, params, sample):
-    """Check one sample of the running trajectories and hand it to sample.
 
-    Raises if an operator has drifted off the Bianchi subspace (drift
-    3|star component| = |trace(R HODGE_STAR)|/2).  Returns the blowup mask
-    and the mask of every early stop, blowup or a tracked margin under the
-    floor.
+def _record(block, idx, params, sample):
+    """Check and sample one block of the running trajectories in one pass.
+
+    block holds their states after each of s consecutive steps, shape
+    (s, m, 6, 6), and idx their positions in the stack.  A trajectory's
+    samples are kept up to and including its first stop in the block, blowup
+    or a tracked margin under the floor; sample(idx, r, m, nrm) gets the kept
+    ones in step order, so its idx may repeat a trajectory.  Raises if a kept
+    sample has drifted off the Bianchi subspace (drift 3|star component| =
+    |trace(R HODGE_STAR)|/2), naming the first in step order.  Returns the
+    mask of the trajectories that stopped in the block and the mask of those
+    whose stop is a blowup.
     """
+    s, n = block.shape[:2]
+    r = block.reshape(s * n, 6, 6)
     m = _fast_margins(r)
-    flat = r.reshape(len(r), 36)
+    flat = r.reshape(s * n, 36)
     nrm = np.sqrt(np.vecdot(flat, flat))
+    blowup = stop = nrm > params.blowup_norm
+    if params.margin_floor is not None:
+        for c in params.margin_cones:
+            stop = stop | (m[c] < params.margin_floor)
+    rows = np.concatenate([idx] * s)
+    stop, blowup = stop.reshape(s, n), blowup.reshape(s, n)
+    if np.count_nonzero(stop):
+        # a trajectory's samples end at its first stop
+        first = np.where(stop.any(axis=0), stop.argmax(axis=0), s - 1)
+        cols = np.arange(n)
+        stopped, blowup = stop[first, cols], blowup[first, cols]
+        if (first < s - 1).any():
+            keep = (np.arange(s)[:, None] <= first).ravel()
+            r, flat, nrm, rows = r[keep], flat[keep], nrm[keep], rows[keep]
+            m = {c: v[keep] for c, v in m.items()}
+    else:
+        stopped = blowup = stop[0]
     star_trace = flat @ _STAR_FLAT
     over = np.abs(star_trace) > (2.0 * BIANCHI_DRIFT_TOL) * (1.0 + nrm)
     if np.count_nonzero(over):
         drift = 0.5 * abs(star_trace[over][0])
         raise RuntimeError(f"Bianchi drift {drift:.3e} exceeded tolerance mid-flow")
-    sample(idx, r, m, nrm)
-    blowup = stop = nrm > params.blowup_norm
-    if params.margin_floor is not None:
-        for c in params.margin_cones:
-            stop = stop | (m[c] < params.margin_floor)
-    return blowup, stop
+    sample(rows, r, m, nrm)
+    return stopped, blowup
 
 
 def _overflowed(r):
@@ -198,12 +222,13 @@ def _step_counts(t_max, dt):
     return full.astype(int), x - full > 1e-9
 
 
-def _rk4_step(r, h, half, sixth):
+def _rk4_step(r, h, half, sixth, out):
     """One classical RK4 step of a stack, r + h/6 (((k1 + 2 k2) + 2 k3) + k4),
-    summed in place in that order, each k freed as soon as it is summed; the
-    stage inputs share one buffer."""
+    summed in place in that order, each k freed as soon as it is summed.  The
+    stage inputs and then the result are written to out, which must not
+    overlap r; returns out."""
     acc = _q_raw(r)
-    y = np.multiply(acc, half)
+    y = np.multiply(acc, half, out=out)
     y += r
     k = _q_raw(y)
     np.multiply(k, half, out=y)
@@ -218,9 +243,9 @@ def _rk4_step(r, h, half, sixth):
     acc += k
     del k
     acc += _q_raw(y)
-    acc *= sixth
-    acc += r
-    return acc
+    np.multiply(acc, sixth, out=y)
+    y += r
+    return y
 
 
 def _rk4(r, params, sample):
@@ -228,17 +253,29 @@ def _rk4(r, params, sample):
 
     Each trajectory has its own fixed step (default_dt unless params.dt is
     set) and step count, ends at t_max with a partial last step where the
-    step does not divide it, and stops on its own.  sample(idx, r, m, nrm)
-    gets the operators, margins and norms of the trajectories still running,
-    idx their positions in the stack: at t=0 and after every step.  A step
-    that overflows to a non-finite operator ends its trajectory as a blowup
-    and is not sampled.  Returns the termination and the step of each
-    trajectory.
+    step does not divide it, and stops on its own.  The states of the
+    running trajectories are recorded in blocks of up to RECORD_ROWS
+    operator-steps that end where the step schedule changes: each step
+    writes into its block slot, and _record checks and samples the block in
+    one pass.  sample(idx, r, m, nrm) gets the operators, margins and norms
+    of the kept samples of one block in step order, idx their positions in
+    the stack: the t=0 sample first, then every step up to each
+    trajectory's stop.  A step that overflows to a non-finite operator, or
+    under normalization turns a scalar curvature nonpositive, ends the block
+    before it and is then settled on its own: an overflowing trajectory ends
+    as a blowup and is not sampled.  Returns the termination and the step
+    of each trajectory.
     """
     if not isinstance(params, FlowParams):
         raise TypeError("params must be a FlowParams")
-    if params.t_max <= 0.0:
-        raise ValueError("t_max must be positive")
+    if not (math.isfinite(params.t_max) and params.t_max > 0.0):
+        raise ValueError("t_max must be positive and finite")
+    if params.dt is not None and not math.isfinite(params.dt):
+        raise ValueError("dt must be finite")
+    if math.isnan(params.blowup_norm):
+        raise ValueError("blowup_norm must not be NaN")
+    if params.margin_floor is not None and math.isnan(params.margin_floor):
+        raise ValueError("margin_floor must not be NaN")
     dt = default_dt(r) if params.dt is None else np.full(len(r), params.dt, dtype=float)
     if (dt <= 0.0).any():
         raise ValueError("dt must be positive")
@@ -256,48 +293,66 @@ def _rk4(r, params, sample):
     terminations = ["completed"] * len(r)
     idx = np.arange(len(r))
 
-    def schedule(k):
-        # the step factors of the running trajectories after step k, and the
-        # last step before a trajectory ends or turns to its partial step
-        f = full[idx]
-        h, half, sixth = _step_factors(np.where(f > k, dt[idx], tail[idx]))
-        return h, half, sixth, int(np.where(f > k, f, steps[idx]).min())
+    def rescaled(r):
+        # under normalization, rescale r in place to the initial scalar
+        # curvatures; False, with r untouched, where one turned nonpositive
+        if params.normalize:
+            s_now = 2.0 * np.trace(r, axis1=-2, axis2=-1)
+            if np.count_nonzero(s_now <= 0.0):
+                return False
+            r *= (scal0[idx] / s_now)[:, None, None]
+        return True
 
-    _record(r, idx, params, sample)  # no stop at t=0
-    h, half, sixth, last = schedule(0)
+    def settle(k, stopped, blowup):
+        # end the trajectories that stopped or completed at step k, and
+        # return the mask of the others
+        nonlocal idx
+        done = stopped | (steps[idx] == k)
+        for j in np.flatnonzero(done):
+            terminations[idx[j]] = (
+                "blowup" if blowup[j] else "margin_violation" if stopped[j] else "completed"
+            )
+        idx = idx[~done]
+        return ~done
+
+    _record(r[None], idx, params, sample)  # t=0: a one-step block, no stop
     k = 0
     # an overflowing step is caught by _overflowed, not by a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            k += 1
-            r = _rk4_step(r, h, half, sixth)
+        while len(idx):
+            # the step factors hold up to `last`, where a trajectory ends or
+            # turns to its partial step
+            f = full[idx]
+            h, half, sixth = _step_factors(np.where(f > k, dt[idx], tail[idx]))
+            last = int(np.where(f > k, f, steps[idx]).min())
+            block = np.empty((min(max(1, RECORD_ROWS // len(idx)), last - k), len(idx), 6, 6))
+            clean = len(block)
+            for s in range(len(block)):
+                r = _rk4_step(r, h, half, sixth, block[s])
+                if _overflowed(r) is not None or not rescaled(r):
+                    clean = s
+                    break
+            alive = slice(None)
+            if clean:
+                k += clean
+                alive = settle(k, *_record(block[:clean], idx, params, sample))
+            if clean == len(block) or not len(idx):
+                r = block[-1][alive]
+                continue
+            # the step that cut the block, for the trajectories still running
+            r = block[clean][alive]
             lost = _overflowed(r)
             if lost is not None:
                 for j in np.flatnonzero(lost):
                     terminations[idx[j]] = "blowup"
                 idx, r = idx[~lost], r[~lost]
                 if not len(idx):
-                    return terminations, dt
-            if params.normalize:
-                s_now = 2.0 * np.trace(r, axis1=-2, axis2=-1)
-                if np.count_nonzero(s_now <= 0.0):
-                    raise RuntimeError("scalar curvature became nonpositive under normalization")
-                r = r * (scal0[idx] / s_now)[:, None, None]
-            blowup, stop = _record(r, idx, params, sample)
-            # after a loss, fall through to refresh the step factors and `last`
-            if k < last and not np.count_nonzero(stop) and lost is None:
-                continue
-            done = stop | (steps[idx] == k)
-            for j in np.flatnonzero(done):
-                terminations[idx[j]] = (
-                    "blowup" if blowup[j] else "margin_violation" if stop[j] else "completed"
-                )
-            keep = ~done
-            idx = idx[keep]
-            if not len(idx):
-                return terminations, dt
-            r = r[keep]
-            h, half, sixth, last = schedule(k)
+                    break
+            if not rescaled(r):
+                raise RuntimeError("scalar curvature became nonpositive under normalization")
+            k += 1
+            r = r[settle(k, *_record(r[None], idx, params, sample))]
+    return terminations, dt
 
 
 def integrate(r0, params):
@@ -316,10 +371,10 @@ def integrate(r0, params):
     norms = []
 
     def sample(idx, rr, m, nrm):
-        ops.append(rr[0].copy())
+        ops.extend(op.copy() for op in rr)
         for c in cones.CONE_IDS:
-            margins[c].append(m[c].item(0))
-        norms.append(nrm.item(0))
+            margins[c].extend(m[c].tolist())
+        norms.extend(nrm.tolist())
 
     (termination,), dt = _rk4(r, params, sample)
     t = np.arange(len(ops)) * dt[0]
@@ -399,6 +454,21 @@ class ProbeReport:
         }
 
 
+def _seed_stack(cone, n, seed, n_boundary, margin_low, margin_high):
+    """The (n, 6, 6) seeds of a probe; seed k is drawn from the substream
+    (seed, k) and the first n_boundary sit at margin in [0, 1e-6]."""
+    seeds = np.empty((n, 6, 6))
+    for k in range(n):
+        rng = np.random.default_rng((seed, k))
+        r0 = curvature.random_bianchi(rng, norm=1.0)
+        if k < n_boundary:
+            target = rng.uniform(0.0, 1e-6)
+        else:
+            target = rng.uniform(margin_low, margin_high)
+        seeds[k] = cones.shift_to_margin(r0, cone, target)
+    return seeds
+
+
 def invariance_probe(
     cone,
     n=100,
@@ -427,25 +497,20 @@ def invariance_probe(
     n = int(n)
     if n < 1:
         raise ValueError("n must be positive")
-    n_boundary = int(round(boundary_fraction * n))
-    seeds = np.empty((n, 6, 6))
-    for k in range(n):
-        rng = np.random.default_rng((seed, k))
-        r0 = curvature.random_bianchi(rng, norm=1.0)
-        if k < n_boundary:
-            target = rng.uniform(0.0, 1e-6)
-        else:
-            target = rng.uniform(margin_low, margin_high)
-        seeds[k] = cones.shift_to_margin(r0, cone, target)
     minima = np.full(n, np.inf)
     minima_norm = np.full(n, np.inf)
 
     def sample(idx, r, m, nrm):
         vals = m[cone]
-        minima[idx] = np.minimum(minima[idx], vals)
-        minima_norm[idx] = np.minimum(minima_norm[idx], vals / (1.0 + nrm))
+        np.minimum.at(minima, idx, vals)
+        np.minimum.at(minima_norm, idx, vals / (1.0 + nrm))
 
-    ends, _ = _rk4(seeds, params, sample)
+    # the seed stack goes straight to _rk4, so no reference to it outlives
+    # the first step
+    n_boundary = int(round(boundary_fraction * n))
+    ends, _ = _rk4(
+        _seed_stack(cone, n, seed, n_boundary, margin_low, margin_high), params, sample
+    )
     worst = int(np.argmin(minima_norm))
     return ProbeReport(
         cone=cone,

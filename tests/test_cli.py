@@ -67,6 +67,18 @@ def test_classify_output_is_byte_stable(capsys, op_path):
     assert out1 == out2
 
 
+def test_classify_rejects_a_negative_or_non_finite_tol(tmp_path, capsys):
+    # a PIC- operator: --tol -1 would print PIC and --tol nan neither
+    path = tmp_path / "pic_minus.json"
+    cv.write_operator(cones.shift_to_margin(cv.model("cp2", 12.0), "ic", -0.1), path)
+    code, out, _ = _run(capsys, "classify", "--input", str(path), "--tol", "0")
+    assert code == 0 and json.loads(out)["class"] == "PIC-"
+    for tol in ("-1", "nan", "inf"):
+        code, out, err = _run(capsys, "classify", "--input", str(path), "--tol", tol)
+        assert code == 1 and out == "", tol
+        assert "tol must be finite and nonnegative" in err
+
+
 def test_decompose_reports_blocks_and_spectra(capsys, op_path):
     code, out, _ = _run(capsys, "decompose", "--input", op_path)
     assert code == 0
@@ -144,6 +156,22 @@ def test_flow_rejects_bad_steps(capsys, op_path):
     code, _, err = _run(capsys, "flow", "--input", op_path, "--t-max", "0.01", "--dt", "0.5")
     assert code == 1
     assert "smaller than t_max" in err
+
+
+def test_flow_rejects_non_finite_parameters(tmp_path, capsys, op_path):
+    dest = tmp_path / "traj.csv"
+    cases = [
+        (("--t-max", "nan"), "t_max"),
+        (("--t-max", "inf", "--dt", "1e-3"), "t_max"),
+        (("--t-max", "0.01", "--dt", "nan"), "dt must be finite"),
+        (("--t-max", "0.01", "--blowup-norm", "nan"), "blowup_norm"),
+        (("--t-max", "0.01", "--margin-floor", "nan"), "margin_floor"),
+    ]
+    for extra, needle in cases:
+        code, out, err = _run(capsys, "flow", "--input", op_path, *extra, "--out", str(dest))
+        assert code == 1 and out == "", extra
+        assert needle in err, extra
+        assert not dest.exists()
 
 
 # -- verify --------------------------------------------------------------------

@@ -162,6 +162,16 @@ def test_membership_one_sided_labels():
     assert cones.membership(r2).classification == "PIC+"
 
 
+def test_membership_rejects_a_negative_or_non_finite_tol():
+    # a tol of -1 would read PIC and a NaN one neither, for a PIC- operator
+    r = cones.shift_to_margin(cv.model("cp2", 12.0), "ic", -0.1)
+    assert cones.membership(r).classification == "PIC-"
+    assert cones.membership(r, tol=0.0).classification == "PIC-"
+    for tol in (-1.0, -1e-300, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            cones.membership(r, tol=tol)
+
+
 def test_membership_report_json_keys():
     doc = cones.membership(np.eye(6)).to_json()
     assert tuple(doc) == cones.CONE_IDS + ("class",)

@@ -297,6 +297,22 @@ def test_integrate_parameter_validation():
         flow.integrate(r, flow.FlowParams(margin_cones=("sectional",)))
     with pytest.raises(ValueError, match="positive initial scalar"):
         flow.integrate(-r, flow.FlowParams(normalize=True))
+    nan, inf = float("nan"), float("inf")
+    for params, needle in (
+        (flow.FlowParams(t_max=nan), "t_max"),
+        (flow.FlowParams(t_max=inf, dt=1e-3), "t_max"),
+        (flow.FlowParams(t_max=0.01, dt=nan), "dt must be finite"),
+        (flow.FlowParams(t_max=0.01, dt=inf), "dt must be finite"),
+        (flow.FlowParams(t_max=0.01, blowup_norm=nan), "blowup_norm"),
+        (flow.FlowParams(t_max=0.01, margin_floor=nan), "margin_floor"),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=needle):
+                flow.integrate(r, params)
+    # an infinite blowup norm or floor is a valid bound
+    for params in (flow.FlowParams(t_max=0.01, blowup_norm=inf), flow.FlowParams(t_max=0.01, margin_floor=-inf)):
+        assert flow.integrate(r, params).termination == "completed"
 
 
 def test_default_dt_shrinks_with_curvature():
@@ -478,6 +494,162 @@ def test_stacked_core_samples_equal_integrate_per_trajectory():
     assert len({len(entries) for entries in log}) > 2
 
 
+# -- the block record ----------------------------------------------------------
+
+
+def _logged_core(seeds, params):
+    # the stacked core, logging each sample call's idx and each trajectory's samples
+    log, calls = [[] for _ in seeds], []
+
+    def sample(idx, r, m, nrm):
+        calls.append(idx.copy())
+        for j, i in enumerate(idx):
+            log[i].append((r[j].copy(), {c: m[c][j] for c in cones.CONE_IDS}, nrm[j]))
+
+    ends, _ = flow._rk4(np.stack(seeds), params, sample)
+    return ends, log, calls
+
+
+def _assert_log_is_integrate(r0, params, end, log):
+    traj = flow.integrate(r0, params)
+    assert end == traj.termination
+    assert len(log) == len(traj)
+    for k, (op, m, nrm) in enumerate(log):
+        np.testing.assert_array_equal(op, traj.operators[k])
+        assert nrm == traj.norm[k]
+        assert m == {c: traj.margins[c][k] for c in cones.CONE_IDS}
+
+
+def test_a_trajectory_stopped_mid_block_is_not_sampled_after_its_stop():
+    # Id/(1 - 3t) passes norm 2.5 at step 7 of a 16-step block; its mate, 0,
+    # runs on to t_max
+    seeds = [np.eye(6), np.zeros((6, 6))]
+    params = flow.FlowParams(t_max=0.05, dt=1e-3, blowup_norm=2.5)
+    ends, log, calls = _logged_core(seeds, params)
+    assert ends == ["blowup", "completed"]
+    norms = [nrm for _, _, nrm in log[0]]
+    assert len(norms) == 8 and norms[-1] > 2.5 >= max(norms[:-1])
+    assert len(log[1]) == 51
+    # the block of the stop goes on past it for the mate
+    last = [idx for idx in calls if 0 in idx][-1]
+    assert np.count_nonzero(last == 1) > np.count_nonzero(last == 0)
+    for i, r0 in enumerate(seeds):
+        _assert_log_is_integrate(r0, params, ends[i], log[i])
+
+
+def test_the_first_stop_in_a_block_ends_the_trajectory():
+    # c Id flows as c Id / (1 - 3 c t).  -Id trips an ic_plus floor of -1.99
+    # at step 1 and is back above it before its 32-step block ends; Id trips
+    # a floor of 2.5 at step 1 and passes a blowup norm of 2.5 at step 7
+    floor = dict(t_max=0.05, dt=1e-3, margin_cones=("ic_plus",))
+    for r0, params in (
+        (-np.eye(6), flow.FlowParams(margin_floor=-1.99, **floor)),
+        (np.eye(6), flow.FlowParams(margin_floor=2.5, blowup_norm=2.5, **floor)),
+    ):
+        traj = flow.integrate(r0, params)
+        assert traj.termination == "margin_violation"
+        assert len(traj) == 2
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_a_defect_after_a_stop_in_the_same_block_is_not_checked(monkeypatch, normalize):
+    # trajectory 0 trips the ic_plus floor at step 1; from step 2 on, a
+    # stand-in vector field gives it a star component (Bianchi drift) or,
+    # under normalization, drives its scalar curvature negative, while its
+    # mate runs on with the true field
+    cp2 = cv.model("cp2", 12.0)
+    seeds = [cones.shift_to_margin(cp2, "ic_plus", m) for m in (-1.0, 1.0)]
+    params = flow.FlowParams(
+        t_max=0.05, dt=1e-3, normalize=normalize, margin_cones=("ic_plus",), margin_floor=-0.5
+    )
+    defect = -1e4 * np.eye(6) if normalize else l2.HODGE_STAR
+    q_raw, sizes = flow._q_raw, []
+
+    def stand_in(r):
+        sizes.append(len(r))
+        q = q_raw(r)
+        if len(sizes) > 4 and len(r) == 2:
+            q[0] += defect
+        return q
+
+    monkeypatch.setattr(flow, "_q_raw", stand_in)
+    ends, log, _ = _logged_core(seeds, params)
+    assert sizes.count(2) > 4  # the defect did enter trajectory 0
+    monkeypatch.undo()
+    assert ends == ["margin_violation", "completed"]
+    assert len(log[0]) == 2
+    for i, r0 in enumerate(seeds):
+        _assert_log_is_integrate(r0, params, ends[i], log[i])
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 33])
+def test_block_record_equals_integrate_per_trajectory(n):
+    seeds = _probe_seeds("ic", n, 6, boundary_fraction=0.2, margin_low=-2.0, margin_high=1.0)
+    params = flow.FlowParams(t_max=0.05, blowup_norm=1.6, margin_floor=0.0)
+    ends, log, calls = _logged_core(seeds, params)
+    for i, r0 in enumerate(seeds):
+        _assert_log_is_integrate(r0, params, ends[i], log[i])
+    # a block of m trajectories spans at most max(1, RECORD_ROWS // m) steps,
+    # so at n = 33 the first blocks are one step each
+    for idx in calls:
+        m = len(set(idx.tolist()))
+        assert np.bincount(idx).max() <= max(1, flow.RECORD_ROWS // m)
+    if n > flow.RECORD_ROWS:
+        assert len(calls[1]) == n
+    assert any(len(idx) > len(set(idx.tolist())) for idx in calls)
+
+
+def _plain_rk4(r0, dt, t_max):
+    # one operator, step by step, with a partial last step: no blocks
+    full = int(np.floor(t_max / dt + 1e-9))
+    tail = t_max - full * dt
+    states, r = [r0], r0[None]
+    for h in [dt] * full + [tail] * (t_max / dt - full > 1e-9):
+        r = flow._rk4_step(r, h, 0.5 * h, h / 6.0, np.empty_like(r))
+        states.append(r[0])
+    return states
+
+
+def test_a_block_that_ends_at_a_partial_last_step():
+    # no step divides t_max, and the steps differ: each trajectory's partial
+    # step cuts the block of its mates
+    seeds = _probe_seeds("ic_plus", 5, 7)
+    params = flow.FlowParams(t_max=0.0123)
+    ends, log, _ = _logged_core(seeds, params)
+    assert ends == ["completed"] * 5
+    for i, r0 in enumerate(seeds):
+        dt = float(flow.default_dt(r0))
+        want = _plain_rk4(r0, dt, params.t_max)
+        assert len(want) == int(params.t_max / dt) + 2
+        assert [op.tolist() for op, _, _ in log[i]] == [op.tolist() for op in want]
+        _assert_log_is_integrate(r0, params, ends[i], log[i])
+    # a common step, one block up to the partial step: 14 full steps of 7e-3
+    r0 = seeds[0]
+    traj = flow.integrate(r0, flow.FlowParams(t_max=0.1, dt=7e-3))
+    assert traj.t[-1] == 0.1
+    want = _plain_rk4(r0, 7e-3, 0.1)
+    assert len(want) == 16
+    assert [op.tolist() for op in traj.operators] == [op.tolist() for op in want]
+
+
+def test_no_margin_call_sees_more_than_one_block(monkeypatch):
+    sizes = []
+    fast = flow._fast_margins
+
+    def spy(r):
+        sizes.append(len(r))
+        return fast(r)
+
+    monkeypatch.setattr(flow, "_fast_margins", spy)
+    for n in (1, 5, 8, 32):
+        sizes.clear()
+        flow.invariance_probe("ic", n=n, seed=3)
+        assert sizes[0] == n  # the t=0 sample
+        assert max(sizes) <= flow.RECORD_ROWS
+        if n < flow.RECORD_ROWS:
+            assert max(sizes) > n  # blocks span several steps
+
+
 def test_probe_reads_margins_through_the_module_binding(monkeypatch):
     base = flow.invariance_probe("ic", n=3, seed=1)
     fast = flow._fast_margins
@@ -495,3 +667,13 @@ def test_probe_parameter_validation():
     for n in (0, -1):
         with pytest.raises(ValueError, match="n must be positive"):
             flow.invariance_probe("ic", n=n)
+    nan = float("nan")
+    for params, needle in (
+        (flow.FlowParams(t_max=nan), "t_max"),
+        (flow.FlowParams(t_max=float("inf"), dt=1e-3), "t_max"),
+        (flow.FlowParams(t_max=0.05, dt=nan), "dt must be finite"),
+        (flow.FlowParams(t_max=0.05, blowup_norm=nan), "blowup_norm"),
+        (flow.FlowParams(t_max=0.05, margin_floor=nan), "margin_floor"),
+    ):
+        with pytest.raises(ValueError, match=needle):
+            flow.invariance_probe("ic", n=2, params=params)

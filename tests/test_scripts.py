@@ -40,13 +40,16 @@ def test_kernel_costs_runs(capsys):
     code = _load("kernel_costs").main(["--calls", "2", "--warmup", "1"])
     lines = capsys.readouterr().out.splitlines()
     assert code == 0
-    assert lines[0] == "kernel,cpu_ms_p50,minor_faults_per_call"
+    assert lines[0] == "kernel,cpu_ms_p50,cpu_ms_p25,cpu_ms_p75,minor_faults_per_call"
     rows = list(csv.reader(lines[1:]))
     assert [row[0] for row in rows] == [
         "min_isotropic(4096)", "min_isotropic(4096,-)", "average(5e4)", "invariance_probe(n=8)",
         "integrate(10 steps)", "q_raw(8 operators)", "q_raw(1 operator)",
+        "margins(1 operator)", "margins(32 operators)",
     ]
-    assert all(float(ms) > 0.0 and float(faults) >= 0.0 for _, ms, faults in rows)
+    for _, p50, p25, p75, faults in rows:
+        assert 0.0 < float(p25) <= float(p50) <= float(p75)
+        assert float(faults) >= 0.0
 
 
 def test_golden_outputs_are_reproducible(tmp_path):
