@@ -261,6 +261,8 @@ _SUITES = {
 
 
 def cmd_verify(args):
+    if args.samples < 1:
+        raise ValueError(f"--samples must be positive, got {args.samples}")
     results = _SUITES[args.suite](args.samples, args.seed)
     failed = 0
     for name, ok, detail in results:

@@ -155,16 +155,21 @@ def check_frame(f):
     return f
 
 
+# The columns f1, f2, f1, f2 and f3, f4, f4, f3 of a frame, wedged pairwise
+# in one pass by _pair_values.
+_WEDGE_LEFT = [0, 1, 0, 1]
+_WEDGE_RIGHT = [2, 3, 3, 2]
+
+
 def _pair_values(r, frames, flip):
     # frames: (n, 4, 4); returns <R u, u> + <R v, v> for each frame, where
     # u = f1^f3 - f2^f4', v = f1^f4' + f2^f3 and f4' = flip * f4.
-    f1 = frames[:, :, 0]
-    f2 = frames[:, :, 1]
-    f3 = frames[:, :, 2]
-    f4 = flip * frames[:, :, 3]
-    w = lambda2._wedge
-    u = w(f1, f3) - w(f2, f4)
-    v = w(f1, f4) + w(f2, f3)
+    cols = frames.swapaxes(1, 2)
+    right = cols[:, _WEDGE_RIGHT]
+    right[:, 1:3] *= flip
+    w = lambda2._wedge(cols[:, _WEDGE_LEFT], right)
+    u = w[:, 0] - w[:, 1]
+    v = w[:, 2] + w[:, 3]
     return np.einsum("ni,ij,nj->n", u, r, u) + np.einsum("ni,ij,nj->n", v, r, v)
 
 
@@ -174,15 +179,6 @@ def isotropic_value(r, frame):
     r = require_bianchi_valid(r)
     frame = check_frame(frame)
     return float(_pair_values(r, frame[None], 1.0)[0])
-
-
-def _project_rotation(m):
-    # Nearest rotation to each matrix of a (..., 4, 4) stack: the polar factor
-    # from the SVD, with the last left singular vector flipped where it would
-    # reverse orientation.
-    u, _, vt = np.linalg.svd(m)
-    u[..., -1] *= np.where(np.linalg.det(u @ vt) < 0.0, -1.0, 1.0)[..., None]
-    return u @ vt
 
 
 # The sign of f4 in _pair_values for each half cone.
@@ -221,32 +217,75 @@ def _sample_values(k, q):
     return ((m @ k) * m).sum(axis=1)
 
 
-def _best_sample(r, sign, samples, seed):
-    # The best of the sampled frames (the first, on a tie) and its value from
-    # _pair_values.  The q1 draws, then the q2 draws, come from one stream in
-    # lambda2.HAAR_BLOCK-row blocks, as lambda2.haar_blocks draws them; only
-    # the moving factor goes through haar_blocks and is scored.  The idle
-    # factor is drawn raw (lambda2._raw_blocks), to consume the stream as the
-    # full draw does, and only its winning row is normalized.  For "+" the
-    # idle q2 comes last, so its draw stops at the block that holds the
-    # winner; for "-" the idle q1 comes first and is kept raw until the
-    # winner is known.
+# The monomial of each ordered pair (a, b) and the weight that spreads it
+# over the pair and its mirror: m_P = sum over the pairs (a, b) of P of
+# w_ab q_a q_b, with w_ab = 1 on the diagonal and 1/2 off it;
+# _PAIR_WEIGHTS[a, b, c, d] = w_ab w_cd.
+_PAIR_MONOMIAL = np.zeros((4, 4), dtype=int)
+_PAIR_MONOMIAL[lambda2._MONO_A, lambda2._MONO_B] = np.arange(10)
+_PAIR_MONOMIAL[lambda2._MONO_B, lambda2._MONO_A] = np.arange(10)
+_PAIR_WEIGHT = np.where(np.eye(4, dtype=bool), 1.0, 0.5)
+_PAIR_WEIGHTS = _PAIR_WEIGHT[:, :, None, None] * _PAIR_WEIGHT
+
+
+def _quartic_tensor(k):
+    # The symmetric quartic tensor C with C(q, q, q, q) = m(q)^T K m(q):
+    # K spread over the ordered pairs of each monomial, then averaged over
+    # the three ways of pairing four slots.  Returned as (16, 16), the
+    # slot pairs (a, b) and (c, d) flattened.
+    d = k[_PAIR_MONOMIAL[:, :, None, None], _PAIR_MONOMIAL] * _PAIR_WEIGHTS
+    c = (d + d.transpose(0, 2, 1, 3) + d.transpose(0, 2, 3, 1)) / 3.0
+    return c.reshape(16, 16)
+
+
+def _tensor_values(c, q):
+    # For each row q of an (n, 4) stack: H = C(q, q, ., .), flattened to 16,
+    # and the value f = C(q, q, q, q) = q^T H q.
+    qq = (q[:, :, None] * q[:, None, :]).reshape(-1, 16)
+    h = qq @ c
+    return h, (h * qq).sum(axis=1)
+
+
+def _sphere_derivatives(h, q, fval):
+    # Gradient and Riemannian Hessian of f = C(q, q, q, q) on the unit
+    # sphere at q, along the tangent directions q j and q k (columns 2, 3 of
+    # the left multiplication by q): the Euclidean gradient is 4 H q and the
+    # Hessian 12 H, less the curvature term 4 f I.  The third direction q i
+    # turns u and v inside their own plane and leaves f unchanged.
+    e = lambda2._left_mul(q)[:, 2:]
+    h = h.reshape(4, 4)
+    return 4.0 * (e.T @ (h @ q)), e.T @ (12.0 * h - 4.0 * fval * np.eye(4)) @ e, e
+
+
+def _best_sample(k, sign, samples, seed):
+    # The moving and the idle quaternion, (4,) each, of the best sampled
+    # frame by the quartic form K (the first, on a tie).  The q1 draws, then
+    # the q2 draws, come from one stream in lambda2.HAAR_BLOCK-row blocks, as
+    # lambda2.haar_blocks draws them; only the moving factor goes through
+    # haar_blocks and is scored.  The idle factor is drawn raw
+    # (lambda2._raw_blocks), to consume the stream as the full draw does, and
+    # only its winning row is normalized.  For "+" the idle q2 comes last, so
+    # its draw stops at the block that holds the winner; for "-" the idle q1
+    # comes first and is kept raw until the winner is known.
     rng = np.random.default_rng(seed)
     idle = list(lambda2._raw_blocks(rng, samples)) if sign == "-" else None
-    k = _quartic_form(r, sign)
     best, low = None, np.inf
     for b, q in enumerate(lambda2.haar_blocks(rng, samples)):
         vals = _sample_values(k, q)
         j = int(np.argmin(vals))
         if best is None or vals[j] < low:
-            best, low, moving = (b, j), vals[j], q[j : j + 1]
+            best, low, moving = (b, j), vals[j], q[j]
     block, row = best
     if idle is None:
         idle = list(islice(lambda2._raw_blocks(rng, samples), block + 1))
-    other = lambda2._unit_rows(idle[block][row : row + 1])
-    q1, q2 = (moving, other) if sign == "+" else (other, moving)
-    g = lambda2._quat_to_rot_batch(q1, q2)
-    return g[0], float(_pair_values(r, g, _FLIPS[sign])[0])
+    return moving, lambda2._unit_rows(idle[block][row : row + 1])[0]
+
+
+def _frame(sign, moving, idle):
+    # The frame x -> q1 x q2^(-1) of the moving and the idle factor, as a
+    # (1, 4, 4) stack: q1 moves for "+", q2 for "-".
+    q1, q2 = (moving, idle) if sign == "+" else (idle, moving)
+    return lambda2._quat_to_rot_batch(q1[None], q2[None])
 
 
 def min_isotropic(r, sign="+", samples=10000, seed=0, polish=True):
@@ -254,91 +293,59 @@ def min_isotropic(r, sign="+", samples=10000, seed=0, polish=True):
 
     Frames are sampled uniformly from SO(4) through pairs of Haar quaternions;
     the minus cone reuses the same frames composed with an orientation flip.
-    The best sample is then refined by Newton steps along the two frame
-    directions that rotate the isotropic plane inside the relevant Hodge
-    eigenspace.  The result converges from above to twice the two-positivity
-    margin of the matching Weyl-plus-scalar block.
+    Only the quaternion factor that rotates the matching Hodge eigenspace
+    moves the objective, a quartic in that unit quaternion; the best sample's
+    factor is refined by Newton steps on the unit sphere, and the value is
+    read once from the frame it gives.  The result converges from above to
+    twice the two-positivity margin of the matching Weyl-plus-scalar block.
     """
     r = require_bianchi_valid(r)
     _check_sign(sign)
     n = int(samples)
     if n < 1:
         raise ValueError("samples must be positive")
-    g, f_best = _best_sample(r, sign, n, seed)
-    if not polish:
-        return f_best
-    return _polish_frame(r, g, _FLIPS[sign], f_best)[0]
+    k = _quartic_form(r, sign)
+    q, idle = _best_sample(k, sign, n, seed)
+    if polish:
+        q = _polish_quaternion(r, _quartic_tensor(k), q)[0]
+    return float(_pair_values(r, _frame(sign, q, idle), _FLIPS[sign])[0])
 
 
 POLISH_STEPS = 1000
-_LINE_TRIALS = 4
+# Trial lengths of the polish's line search, tried at once.
+_LINE_STEPS = 0.5 ** np.arange(4)
 
 
-def _polish_tables(sign):
-    # Directions X_1, X_2 of so(4) (right multiplication, so fixed in the
-    # frame) and the columns a, b, D_1 a, D_1 b, D_2 a, D_2 b, then P_jk a,
-    # P_jk b for jk = 11, 12, 22, of the bivectors that give the objective's
-    # derivatives along g exp(t_1 X_1 + t_2 X_2).  D_k = W(X_k, I) + W(I, X_k)
-    # is X_k acting on bivectors and P_jk = D_j D_k + D_k D_j.  X_0, the first
-    # direction of the eigenspace, turns u and v inside their own plane and
-    # leaves the objective unchanged, and the other factor fixes them.
-    x = np.stack([lambda2.to_so4(w) for w in lambda2.selfdual_basis(sign)[1:]])
-    eye = np.eye(4)
-    d = lambda2._wedge_maps(x, eye) + lambda2._wedge_maps(eye, x)
-    ab = _pair_bivectors(_FLIPS[sign]).T
-    sym = [d[j] @ d[k] + d[k] @ d[j] for j, k in ((0, 0), (0, 1), (1, 1))]
-    return x, np.hstack([ab, d[0] @ ab, d[1] @ ab] + [p @ ab for p in sym])
-
-
-_POLISH_TABLES = {flip: _polish_tables(sign) for sign, flip in _FLIPS.items()}
-
-
-def _frame_derivatives(r, g, flip):
-    # Gradient and Hessian of the objective at g along the two polish
-    # directions: with S = M^T R M, M the induced map of g, and c over a, b,
-    # grad_k = 2 sum_c c^T S D_k c and
-    # H_jk = sum_c 2 (D_j c)^T S (D_k c) + c^T S P_jk c.
-    _, cols = _POLISH_TABLES[flip]
-    z = lambda2._wedge_maps(g, g) @ cols
-    gram = z[:, :6].T @ r @ z
-    # Sum over the pair (a, b): entry [i, j] pairs column group i with j.
-    t = np.trace(gram.reshape(3, 2, 6, 2), axis1=1, axis2=3)
-    grad = 2.0 * t[0, 1:3]
-    hess = 2.0 * t[1:3, 1:3] + t[0, [[3, 4], [4, 5]]]
-    return grad, hess
-
-
-def _polish_frame(r, g, flip, f0):
-    # Saddle-free Newton descent on SO(4): each step solves with |H|, the 2x2
-    # Hessian with its eigenvalues made positive, is cut to norm 1, and is
-    # searched with _LINE_TRIALS halvings at once from t = 1 (one stacked
-    # projection, one objective call).  Every value comes from _pair_values;
-    # the derivatives only choose where to evaluate it.  The gradient stop
-    # and the Hessian floor scale with |R| + |f|, both norms taken by the
+def _polish_quaternion(r, c, q):
+    # Saddle-free Newton descent of f = C(q, q, q, q) on the unit sphere:
+    # each step solves with |H|, the 2x2 Riemannian Hessian with its
+    # eigenvalues made positive, is cut to norm 1, and is searched at the
+    # _LINE_STEPS lengths at once, each trial normalized back to the sphere
+    # and all scored through C in one contraction.  The gradient stop and
+    # the Hessian floor scale with |R| + |f|, both norms taken by the
     # scale-safe curvature._norm, so the result does not depend on the
     # operator's scale, and the zero operator stops at once.
-    # Returns the value, the number of steps taken and why the descent
-    # stopped: "gradient", "no_descent" or "cap".
-    x, _ = _POLISH_TABLES[flip]
-    t = 0.5 ** np.arange(_LINE_TRIALS)
+    # Returns the quaternion, its value f, the number of steps taken and why
+    # the descent stopped: "gradient", "no_descent" or "cap".
     scale = float(_norm(r))
-    fval = f0
+    h, f = _tensor_values(c, q[None])
+    h, fval = h[0], float(f[0])
     for step in range(POLISH_STEPS):
-        grad, hess = _frame_derivatives(r, g, flip)
+        grad, hess, e = _sphere_derivatives(h, q, fval)
         tol = 1e-11 * (scale + abs(fval))
         if float(_norm(grad)) <= tol:
-            return fval, step, "gradient"
+            return q, fval, step, "gradient"
         lam, vec = np.linalg.eigh(hess)
         d = -vec @ ((vec.T @ grad) / np.maximum(np.abs(lam), tol))
         d /= max(1.0, float(np.linalg.norm(d)))
-        trials = _project_rotation(g @ (np.eye(4) + t[:, None, None] * np.tensordot(d, x, 1)))
-        vals = _pair_values(r, trials, flip)
-        passed = np.flatnonzero(vals < fval + 1e-4 * t * float(grad @ d))
+        trials = lambda2._unit_rows(q + _LINE_STEPS[:, None] * (e @ d))
+        hs, vals = _tensor_values(c, trials)
+        passed = np.flatnonzero(vals < fval + 1e-4 * _LINE_STEPS * float(grad @ d))
         if not passed.size:
-            return fval, step, "no_descent"
-        g = trials[passed[0]]
-        fval = float(vals[passed[0]])
-    return fval, POLISH_STEPS, "cap"
+            return q, fval, step, "no_descent"
+        j = passed[0]
+        q, h, fval = trials[j], hs[j], float(vals[j])
+    return q, fval, POLISH_STEPS, "cap"
 
 
 # ---------------------------------------------------------------------------

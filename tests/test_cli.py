@@ -185,6 +185,15 @@ def test_verify_suites_pass(capsys, suite):
     assert f"suite {suite}:" in out
 
 
+@pytest.mark.parametrize("suite", sorted(cli._SUITES))
+def test_verify_rejects_samples_below_one(capsys, suite):
+    # zero or negative samples would run no check and print vacuous PASS lines
+    for samples in ("0", "-3"):
+        code, out, err = _run(capsys, "verify", "--suite", suite, "--samples", samples)
+        assert code == 1 and out == "", (suite, samples)
+        assert f"--samples must be positive, got {samples}" in err
+
+
 def test_verify_failure_exits_two(capsys, monkeypatch):
     monkeypatch.setitem(
         cli._SUITES, "identities", lambda samples, seed: [("forced check", False, "detail")]

@@ -1,6 +1,8 @@
 """Cone margins, membership classification, and the two independent routes to
 the isotropic minimum (frame search and the Wilking-set sampling)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -258,63 +260,51 @@ def test_min_isotropic_matches_the_block_margin():
                 assert got == pytest.approx(want, abs=1e-6 * (1.0 + np.linalg.norm(r)))
 
 
-def _reference_project_rotation(m):
-    # Reference: nearest rotation to one 4x4 matrix, one SVD at a time.
-    u, _, vt = np.linalg.svd(m)
-    g = u @ vt
-    if np.linalg.det(g) < 0.0:
-        u[:, -1] = -u[:, -1]
-        g = u @ vt
-    return g
+def _quat_exp(x):
+    # exp of the pure quaternion (0, x): cos|x| + sin|x| x / |x|.
+    th = np.linalg.norm(x)
+    return np.r_[1.0, 0.0, 0.0, 0.0] if th == 0.0 else np.r_[np.cos(th), (np.sin(th) / th) * x]
 
 
-def _random_frame(rng):
-    return l2.quat_to_rot(l2.haar_quaternion(rng), l2.haar_quaternion(rng))
-
-
-def _exp_selfdual(x):
-    # exp of a combination X of one factor's directions to_so4(w_k), w_k
-    # orthonormal: X^2 = -(|c|^2 / 2) I, so exp(X) = cos(th) I + sin(th)/th X
-    # with th = |c| / sqrt(2) = sqrt(-tr(X^2) / 4).
-    th = np.sqrt(-np.trace(x @ x) / 4.0)
-    return np.eye(4) if th == 0.0 else np.cos(th) * np.eye(4) + (np.sin(th) / th) * x
-
-
-def _polish_directions(sign):
-    # X_1 and X_2, built here from the eigenspace basis, not from cones.
-    return [l2.to_so4(w) for w in l2.selfdual_basis(sign)[1:]]
-
-
-def _objective_along(r, g, flip, dirs, t):
-    x = sum(c * d for c, d in zip(t, dirs))
-    return float(cones._pair_values(r, (g @ _exp_selfdual(x))[None], flip)[0])
+def _objective_along(r, sign, q, idle, x):
+    # The frame objective with the moving factor q exp(x), x a pure quaternion.
+    moving = l2._left_mul(q) @ _quat_exp(np.asarray(x, dtype=float))
+    frame = cones._frame(sign, moving, idle)
+    return float(cones._pair_values(r, frame, cones._FLIPS[sign])[0])
 
 
 def test_exp_of_one_factor_is_closed_form(rng):
-    for sign in ("+", "-"):
-        x = sum(c * d for c, d in zip(rng.standard_normal(3), map(l2.to_so4, l2.selfdual_basis(sign))))
-        th2 = -np.trace(x @ x) / 4.0
-        np.testing.assert_allclose(x @ x, -th2 * np.eye(4), rtol=0, atol=1e-15 * (1.0 + th2))
-        want = sum(np.linalg.matrix_power(x, k) / np.prod(np.arange(1, k + 1)) for k in range(30))
-        np.testing.assert_allclose(_exp_selfdual(x), want, rtol=0, atol=1e-14)
+    # multiplication by exp(x) is the matrix exponential of multiplication by x
+    for scale in (0.0, 1e-3, 0.5, 2.0):
+        x = scale * rng.standard_normal(3)
+        m = l2._left_mul(np.r_[0.0, x])
+        want = sum(np.linalg.matrix_power(m, k) / math.factorial(k) for k in range(40))
+        np.testing.assert_allclose(l2._left_mul(_quat_exp(x)), want, rtol=0, atol=1e-14)
+
+
+def _sphere_state(r, sign, q):
+    # C, H = C(q, q, ., .) and f = C(q, q, q, q) at q, as the polish holds them.
+    c = cones._quartic_tensor(cones._quartic_form(r, sign))
+    h, f = cones._tensor_values(c, q[None])
+    return c, h[0], float(f[0])
 
 
 def test_frame_derivatives_match_central_differences(rng):
-    # analytic gradient and 2x2 Hessian against central differences of the
-    # objective along g exp(t_1 X_1 + t_2 X_2)
-    h = 1e-4
+    # gradient and 2x2 Hessian from C against central differences of the
+    # frame objective along the frames of q exp(t_1 j + t_2 k)
+    step = 1e-4
     e = np.eye(2)
     for k in range(6):
         r = _bianchi(200 + k, norm=(1.0, 1e3)[k % 2])
-        g = _random_frame(rng)
-        for sign, flip in (("+", 1.0), ("-", -1.0)):
-            dirs = _polish_directions(sign)
-            grad, hess = cones._frame_derivatives(r, g, flip)
-            f = lambda t: _objective_along(r, g, flip, dirs, t)
-            fd_grad = [(f(h * e[i]) - f(-h * e[i])) / (2.0 * h) for i in range(2)]
+        q, idle = l2.haar_quaternions(rng, 2)
+        for sign in ("+", "-"):
+            _, h, f = _sphere_state(r, sign, q)
+            grad, hess, _ = cones._sphere_derivatives(h, q, f)
+            obj = lambda t: _objective_along(r, sign, q, idle, [0.0, *(step * t)])
+            fd_grad = [(obj(e[i]) - obj(-e[i])) / (2.0 * step) for i in range(2)]
             fd_hess = [
-                [(f(h * (e[i] + e[j])) - f(h * (e[i] - e[j])) - f(h * (e[j] - e[i]))
-                  + f(-h * (e[i] + e[j]))) / (4.0 * h * h) for j in range(2)]
+                [(obj(e[i] + e[j]) - obj(e[i] - e[j]) - obj(e[j] - e[i]) + obj(-e[i] - e[j]))
+                 / (4.0 * step * step) for j in range(2)]
                 for i in range(2)
             ]
             tol = 1e-6 * (1.0 + np.linalg.norm(r))
@@ -323,21 +313,39 @@ def test_frame_derivatives_match_central_differences(rng):
 
 
 def test_the_first_eigenspace_direction_leaves_the_objective_unchanged(rng):
-    # X_0 turns u and v inside their own plane, so the polish can drop it
-    eye = np.eye(4)
+    # q exp(t i) moves the frame along X_0, the first direction of the
+    # eigenspace, which turns u and v inside their own plane, so the polish
+    # can drop it: the frame objective and its gradient along q i vanish
     for k in range(20):
         r = _bianchi(300 + k, norm=(1.0, 1e6, 1e-3)[k % 3])
-        g = _random_frame(rng)
-        for sign, flip in (("+", 1.0), ("-", -1.0)):
-            x0 = l2.to_so4(l2.selfdual_basis(sign)[0])
-            d0 = l2._wedge_maps(x0, eye) + l2._wedge_maps(eye, x0)
-            m = l2.induced_map(g)
-            s = m.T @ r @ m
-            pair = cones._pair_bivectors(flip)
-            grad0 = 2.0 * sum(c @ s @ d0 @ c for c in pair)
-            assert abs(grad0) <= 1e-14 * (1.0 + np.linalg.norm(r))
-            f = lambda t: _objective_along(r, g, flip, [x0], [t])
-            assert abs(f(0.3) - f(0.0)) <= 1e-14 * (1.0 + np.linalg.norm(r))
+        q, idle = l2.haar_quaternions(rng, 2)
+        tol = 1e-14 * (1.0 + np.linalg.norm(r))
+        for sign in ("+", "-"):
+            _, h, _ = _sphere_state(r, sign, q)
+            grad_i = 4.0 * (l2._left_mul(q)[:, 1] @ h.reshape(4, 4) @ q)
+            assert abs(grad_i) <= tol
+            f0 = _objective_along(r, sign, q, idle, [0.0, 0.0, 0.0])
+            for t in (0.3, -1.2):
+                assert abs(_objective_along(r, sign, q, idle, [t, 0.0, 0.0]) - f0) <= tol
+
+
+def test_quartic_tensor_equals_the_quartic_form(rng):
+    # C is symmetric in its four slots and C(q, q, q, q) = m(q)^T K m(q)
+    q = l2.haar_quaternions(rng, 64)
+    perms = [(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2), (3, 1, 2, 0)]
+    for k, norm in enumerate([1.0, 1e6, 1e-3]):
+        r = _bianchi(500 + k, norm=norm)
+        tol = 1e-14 * (1.0 + np.linalg.norm(r))
+        for sign in ("+", "-"):
+            kf = cones._quartic_form(r, sign)
+            c = cones._quartic_tensor(kf)
+            c4 = c.reshape(4, 4, 4, 4)
+            for p in perms:
+                np.testing.assert_allclose(c4.transpose(p), c4, rtol=0, atol=tol)
+            h, f = cones._tensor_values(c, q)
+            np.testing.assert_allclose(f, cones._sample_values(kf, q), rtol=0, atol=tol)
+            want_h = np.einsum("abcd,na,nb->ncd", c4, q, q).reshape(-1, 16)
+            np.testing.assert_allclose(h, want_h, rtol=0, atol=tol)
 
 
 def test_quartic_sampler_equals_the_pair_values(rng):
@@ -393,30 +401,23 @@ def _reference_best_sample(r, sign, samples, seed):
     return g[0], float(cones._pair_values(r, g, 1.0 if sign == "+" else -1.0)[0])
 
 
+def _sampled_frame(r, sign, samples, seed):
+    # The best sample's frame and its value, as min_isotropic builds them.
+    moving, idle = cones._best_sample(cones._quartic_form(r, sign), sign, samples, seed)
+    g = cones._frame(sign, moving, idle)
+    return g[0], float(cones._pair_values(r, g, cones._FLIPS[sign])[0])
+
+
 @pytest.mark.parametrize("samples", [1, 16, 1000, 1023, 1024, 1025, 4096, 10_000])
 def test_blocked_best_sample_equals_one_full_draw(samples):
     ops = [_bianchi(600 + k, norm=norm) for k, norm in enumerate([1.0, 1e6, 1e-6])]
     ops.append(cones.shift_to_margin(_bianchi(603, norm=1.0), "ic_minus", 0.0))
     for k, r in enumerate(ops):
         for sign in ("+", "-"):
-            g, f = cones._best_sample(r, sign, samples, k)
+            g, f = _sampled_frame(r, sign, samples, k)
             want_g, want_f = _reference_best_sample(r, sign, samples, k)
             assert np.array_equal(g, want_g)
             assert f == want_f
-
-
-def test_stacked_projection_equals_the_per_matrix_reference(rng):
-    m = rng.standard_normal((6, 4, 4))
-    m[2] = np.diag([1.0, 1.0, 1.0, -1.0]) @ l2.quat_to_rot(
-        l2.haar_quaternion(rng), l2.haar_quaternion(rng)
-    )
-    dets = np.linalg.det(m)
-    assert (dets < 0.0).any() and (dets > 0.0).any()
-    got = cones._project_rotation(m)
-    want = np.stack([_reference_project_rotation(x) for x in m])
-    assert np.array_equal(got, want)
-    assert np.array_equal(cones._project_rotation(m[2]), want[2])
-    np.testing.assert_allclose(np.linalg.det(got), 1.0, atol=1e-14)
 
 
 # A unit-norm operator shifted to within 1e-6 of the minus boundary whose minus
@@ -507,11 +508,27 @@ def test_min_isotropic_is_exact_beyond_the_squared_norm_range():
 
 def test_the_zero_operator_stops_the_polish_at_once():
     zero = np.zeros((6, 6))
-    for sign, flip in (("+", 1.0), ("-", -1.0)):
-        g, f0 = cones._best_sample(zero, sign, 16, 0)
-        assert f0 == 0.0
-        assert cones._polish_frame(zero, g, flip, f0) == (0.0, 0, "gradient")
+    for sign in ("+", "-"):
+        k = cones._quartic_form(zero, sign)
+        moving, idle = cones._best_sample(k, sign, 16, 0)
+        assert cones._pair_values(zero, cones._frame(sign, moving, idle), cones._FLIPS[sign])[0] == 0.0
+        q, *rest = cones._polish_quaternion(zero, cones._quartic_tensor(k), moving)
+        assert rest == [0.0, 0, "gradient"]
+        assert np.array_equal(q, moving)
         assert cones.min_isotropic(zero, sign, samples=16) == 0.0
+
+
+def test_min_isotropic_is_homogeneous_under_powers_of_two():
+    # scaling by 2^k is exact in every step of the sampler and the polish,
+    # and each of their tests (the polish stop too) scales with the operator
+    for seed in range(3):
+        r = _bianchi(700 + seed, norm=1.0)
+        for sign in ("+", "-"):
+            for polish in (True, False):
+                v = cones.min_isotropic(r, sign, samples=256, seed=seed, polish=polish)
+                for k in (-300, -60, -3, 5, 60, 300):
+                    got = cones.min_isotropic(np.ldexp(r, k), sign, samples=256, seed=seed, polish=polish)
+                    assert got == np.ldexp(v, k), (seed, sign, polish, k)
 
 
 def _iso_frames_pool(n):
@@ -533,13 +550,17 @@ def test_polish_reports_its_stop_and_never_reaches_the_cap():
     stress = [(r, sign) for r in _tie_operators() + _kernel_operators() for sign in "+-"]
     stress.append((_SLOW_MINUS, "-"))
     for k, (r, sign) in enumerate(stress + _iso_frames_pool(64)):
-        flip = 1.0 if sign == "+" else -1.0
-        g, f0 = cones._best_sample(r, sign, 4096, k)
-        fval, steps, stop = cones._polish_frame(r, g, flip, f0)
+        kf = cones._quartic_form(r, sign)
+        moving, idle = cones._best_sample(kf, sign, 4096, k)
+        c = cones._quartic_tensor(kf)
+        f0 = float(cones._tensor_values(c, moving[None])[1][0])
+        q, fval, steps, stop = cones._polish_quaternion(r, c, moving)
         assert stop in ("gradient", "no_descent")
         assert steps <= 30
         assert fval <= f0
-        assert fval == cones.min_isotropic(r, sign, samples=4096, seed=k)
+        frame = cones._frame(sign, q, idle)
+        got = float(cones._pair_values(r, frame, cones._FLIPS[sign])[0])
+        assert got == cones.min_isotropic(r, sign, samples=4096, seed=k)
 
 
 def test_min_isotropic_polish_never_hurts():
