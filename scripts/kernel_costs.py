@@ -11,8 +11,9 @@ the faults of later large temporaries, so the kernels never share one.
 
 prints one CSV row per kernel: name (quoted where it holds a comma), the
 median, first and third quartile of the CPU ms per call, and the minor page
-faults per call.  The unpolished row is the first row's call without the
-polish, so their difference is the polish's cost per call.  The two margin
+faults per call.  Each unpolished row is the call of the same sign without
+the polish, so the difference is the polish's cost per call and the
+unpolished row is the sampler's cost plus one frame.  The two margin
 rows show the fixed and the per-operator cost of the margin kernel that the
 flow record calls once per block.
 """
@@ -41,6 +42,7 @@ def _kernels():
         "min_isotropic(4096)": lambda: cones.min_isotropic(r, "+", samples=4096, seed=0),
         "min_isotropic(4096,-)": lambda: cones.min_isotropic(r, "-", samples=4096, seed=0),
         "min_isotropic(4096,unpolished)": lambda: cones.min_isotropic(r, "+", samples=4096, seed=0, polish=False),
+        "min_isotropic(4096,-,unpolished)": lambda: cones.min_isotropic(r, "-", samples=4096, seed=0, polish=False),
         "average(5e4)": lambda: group_actions.average(r, "left", n=50_000, seed=0),
         "invariance_probe(n=8)": lambda: flow.invariance_probe("ic_plus", n=8, seed=0),
         "integrate(10 steps)": lambda: flow.integrate(r, ten_steps),

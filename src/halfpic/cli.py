@@ -88,7 +88,14 @@ def cmd_flow(args):
     return 0
 
 
+def _check_samples(samples):
+    # A --samples below one would average or check nothing.
+    if samples < 1:
+        raise ValueError(f"--samples must be positive, got {samples}")
+
+
 def cmd_average(args):
+    _check_samples(args.samples)
     r = curvature.read_operator(args.infile)
     avg = group_actions.average(r, factor=args.factor, n=args.samples, seed=args.seed)
     proj = group_actions.exact_projection(r, factor=args.factor)
@@ -261,8 +268,7 @@ _SUITES = {
 
 
 def cmd_verify(args):
-    if args.samples < 1:
-        raise ValueError(f"--samples must be positive, got {args.samples}")
+    _check_samples(args.samples)
     results = _SUITES[args.suite](args.samples, args.seed)
     failed = 0
     for name, ok, detail in results:

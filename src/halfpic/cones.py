@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -29,6 +28,13 @@ def _check_sign(sign):
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     return sign
+
+
+def _check_samples(samples):
+    n = int(samples)
+    if n < 1:
+        raise ValueError("samples must be positive")
+    return n
 
 
 # Both eigenspace bases stacked, so the two Weyl blocks of an operator go
@@ -214,7 +220,7 @@ def _quartic_form(r, sign):
 def _sample_values(k, q):
     # The objective of each row of q, the moving factor, through K.
     m = lambda2._monomials(q)
-    return ((m @ k) * m).sum(axis=1)
+    return np.vecdot(m @ k, m)
 
 
 # The monomial of each ordered pair (a, b) and the weight that spreads it
@@ -257,28 +263,21 @@ def _sphere_derivatives(h, q, fval):
     return 4.0 * (e.T @ (h @ q)), e.T @ (12.0 * h - 4.0 * fval * np.eye(4)) @ e, e
 
 
-def _best_sample(k, sign, samples, seed):
+def _best_sample(k, samples, seed):
     # The moving and the idle quaternion, (4,) each, of the best sampled
-    # frame by the quartic form K (the first, on a tie).  The q1 draws, then
-    # the q2 draws, come from one stream in lambda2.HAAR_BLOCK-row blocks, as
-    # lambda2.haar_blocks draws them; only the moving factor goes through
-    # haar_blocks and is scored.  The idle factor is drawn raw
-    # (lambda2._raw_blocks), to consume the stream as the full draw does, and
-    # only its winning row is normalized.  For "+" the idle q2 comes last, so
-    # its draw stops at the block that holds the winner; for "-" the idle q1
-    # comes first and is kept raw until the winner is known.
+    # frame by the quartic form K (the first, on a tie).  The stream holds
+    # the moving factor's samples first, scored in lambda2.HAAR_BLOCK-row
+    # blocks as lambda2.haar_blocks draws them, then one draw for the idle
+    # factor: the objective does not depend on it, so any unit quaternion
+    # gives the winner's value.
     rng = np.random.default_rng(seed)
-    idle = list(lambda2._raw_blocks(rng, samples)) if sign == "-" else None
     best, low = None, np.inf
-    for b, q in enumerate(lambda2.haar_blocks(rng, samples)):
+    for q in lambda2.haar_blocks(rng, samples):
         vals = _sample_values(k, q)
         j = int(np.argmin(vals))
         if best is None or vals[j] < low:
-            best, low, moving = (b, j), vals[j], q[j]
-    block, row = best
-    if idle is None:
-        idle = list(islice(lambda2._raw_blocks(rng, samples), block + 1))
-    return moving, lambda2._unit_rows(idle[block][row : row + 1])[0]
+            best, low = q[j], vals[j]
+    return best, lambda2.haar_quaternions(rng, 1)[0]
 
 
 def _frame(sign, moving, idle):
@@ -291,21 +290,21 @@ def _frame(sign, moving, idle):
 def min_isotropic(r, sign="+", samples=10000, seed=0, polish=True):
     """Minimum isotropic value over the frame manifold.
 
-    Frames are sampled uniformly from SO(4) through pairs of Haar quaternions;
-    the minus cone reuses the same frames composed with an orientation flip.
-    Only the quaternion factor that rotates the matching Hodge eigenspace
-    moves the objective, a quartic in that unit quaternion; the best sample's
-    factor is refined by Newton steps on the unit sphere, and the value is
-    read once from the frame it gives.  The result converges from above to
-    twice the two-positivity margin of the matching Weyl-plus-scalar block.
+    Frames x -> q1 x q2^(-1) are Haar-uniform on SO(4); the minus cone
+    composes them with an orientation flip.  Only the quaternion factor that
+    rotates the matching Hodge eigenspace (q1 for "+", q2 for "-") moves the
+    objective, a quartic in that unit quaternion, so only it is sampled:
+    `samples` Haar draws from the seed's stream, then one draw for the idle
+    factor.  The best sample's factor is refined by Newton steps on the unit
+    sphere, and the value is read once from the frame it gives.  The result
+    converges from above to twice the two-positivity margin of the matching
+    Weyl-plus-scalar block.
     """
     r = require_bianchi_valid(r)
     _check_sign(sign)
-    n = int(samples)
-    if n < 1:
-        raise ValueError("samples must be positive")
+    n = _check_samples(samples)
     k = _quartic_form(r, sign)
-    q, idle = _best_sample(k, sign, n, seed)
+    q, idle = _best_sample(k, n, seed)
     if polish:
         q = _polish_quaternion(r, _quartic_tensor(k), q)[0]
     return float(_pair_values(r, _frame(sign, q, idle), _FLIPS[sign])[0])
@@ -409,9 +408,10 @@ def wilking_min(r, sign="+", samples=4096, seed=0):
     two-positivity margin of the matching block."""
     r = require_bianchi_valid(r)
     basis = PLUS_BASIS if _check_sign(sign) == "+" else MINUS_BASIS
+    n = _check_samples(samples)
     rng = np.random.default_rng(seed)
-    a = rng.standard_normal((int(samples), 3))
-    b = rng.standard_normal((int(samples), 3))
+    a = rng.standard_normal((n, 3))
+    b = rng.standard_normal((n, 3))
     a = a / np.linalg.norm(a, axis=1, keepdims=True)
     b = b - np.sum(b * a, axis=1, keepdims=True) * a
     b = b / np.linalg.norm(b, axis=1, keepdims=True)

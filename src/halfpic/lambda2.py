@@ -331,20 +331,11 @@ HAAR_BLOCK = 1024
 def haar_blocks(rng, n):
     """The rows of haar_quaternions(rng, n) in consecutive blocks of
     HAAR_BLOCK rows (the last one may be shorter), each one haar_quaternions
-    call, so the blocks concatenate to the one-batch draw bit for bit.
-    _raw_blocks yields the same blocks unnormalized, from the same stream,
-    for a consumer that reads only a few rows of a factor."""
+    call, so the blocks concatenate to the one-batch draw bit for bit and
+    leave the generator where the one batch leaves it."""
     n = int(n)
     for start in range(0, n, HAAR_BLOCK):
         yield haar_quaternions(rng, min(HAAR_BLOCK, n - start))
-
-
-def _raw_blocks(rng, n):
-    # The draws of haar_blocks(rng, n) before normalization; _unit_rows on
-    # any of their rows gives that row of haar_blocks bit for bit.
-    n = int(n)
-    for start in range(0, n, HAAR_BLOCK):
-        yield rng.standard_normal((min(HAAR_BLOCK, n - start), 4))
 
 
 def rot3_of_quat(q):

@@ -240,6 +240,13 @@ def test_average_reports_distance_to_projection(capsys, op_path):
     )
 
 
+def test_average_rejects_samples_below_one(capsys, op_path):
+    for samples in ("0", "-3"):
+        code, out, err = _run(capsys, "average", "--input", op_path, "--samples", samples)
+        assert code == 1 and out == "", samples
+        assert err == f"error: --samples must be positive, got {samples}\n"
+
+
 def test_average_is_seed_deterministic(capsys, tmp_path):
     path = tmp_path / "r.json"
     cv.write_operator(cv.random_bianchi(np.random.default_rng(5), norm=1.0), path)

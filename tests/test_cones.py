@@ -362,13 +362,19 @@ def test_quartic_sampler_equals_the_pair_values(rng):
             np.testing.assert_allclose(got, cones._pair_values(r, moved, flip), rtol=0, atol=tol)
 
 
+def _reference_draw(sign, samples, seed):
+    # The sampler's stream: the moving factor's samples in one draw, then one
+    # idle draw, as the (q1, q2) rows of every sampled frame.
+    rng = np.random.default_rng(seed)
+    moving = l2.haar_quaternions(rng, samples)
+    idle = np.repeat(l2.haar_quaternions(rng, 1), samples, axis=0)
+    return (moving, idle) if sign == "+" else (idle, moving)
+
+
 def _reference_sample_values(r, sign, samples, seed):
     # Reference: every sampled frame built and evaluated by _pair_values.
     flip = 1.0 if sign == "+" else -1.0
-    rng = np.random.default_rng(seed)
-    frames = l2._quat_to_rot_batch(
-        l2.haar_quaternions(rng, samples), l2.haar_quaternions(rng, samples)
-    )
+    frames = l2._quat_to_rot_batch(*_reference_draw(sign, samples, seed))
     return cones._pair_values(r, frames, flip)
 
 
@@ -390,11 +396,9 @@ def test_unpolished_value_is_the_best_sampled_frame():
 
 
 def _reference_best_sample(r, sign, samples, seed):
-    # Reference: one haar_quaternions draw per factor, every row of both
-    # normalized, scored in one call.
-    rng = np.random.default_rng(seed)
-    q1 = l2.haar_quaternions(rng, samples)
-    q2 = l2.haar_quaternions(rng, samples)
+    # Reference: the moving factor in one haar_quaternions draw, scored in
+    # one call.
+    q1, q2 = _reference_draw(sign, samples, seed)
     k = cones._quartic_form(r, sign)
     best = int(np.argmin(cones._sample_values(k, q1 if sign == "+" else q2)))
     g = l2._quat_to_rot_batch(q1[best : best + 1], q2[best : best + 1])
@@ -403,7 +407,7 @@ def _reference_best_sample(r, sign, samples, seed):
 
 def _sampled_frame(r, sign, samples, seed):
     # The best sample's frame and its value, as min_isotropic builds them.
-    moving, idle = cones._best_sample(cones._quartic_form(r, sign), sign, samples, seed)
+    moving, idle = cones._best_sample(cones._quartic_form(r, sign), samples, seed)
     g = cones._frame(sign, moving, idle)
     return g[0], float(cones._pair_values(r, g, cones._FLIPS[sign])[0])
 
@@ -418,6 +422,18 @@ def test_blocked_best_sample_equals_one_full_draw(samples):
             want_g, want_f = _reference_best_sample(r, sign, samples, k)
             assert np.array_equal(g, want_g)
             assert f == want_f
+
+
+@pytest.mark.parametrize("samples", [1, 1023, 1024, 1025, 4096])
+def test_best_sample_draws_the_moving_factor_then_one_idle_draw(samples):
+    r = _bianchi(610, norm=1.0)
+    for sign in ("+", "-"):
+        k = cones._quartic_form(r, sign)
+        moving, idle = cones._best_sample(k, samples, samples)
+        rng = np.random.default_rng(samples)
+        draw = l2.haar_quaternions(rng, samples)
+        assert np.array_equal(moving, draw[np.argmin(cones._sample_values(k, draw))])
+        assert np.array_equal(idle, l2.haar_quaternions(rng, 1)[0])
 
 
 # A unit-norm operator shifted to within 1e-6 of the minus boundary whose minus
@@ -510,7 +526,7 @@ def test_the_zero_operator_stops_the_polish_at_once():
     zero = np.zeros((6, 6))
     for sign in ("+", "-"):
         k = cones._quartic_form(zero, sign)
-        moving, idle = cones._best_sample(k, sign, 16, 0)
+        moving, idle = cones._best_sample(k, 16, 0)
         assert cones._pair_values(zero, cones._frame(sign, moving, idle), cones._FLIPS[sign])[0] == 0.0
         q, *rest = cones._polish_quaternion(zero, cones._quartic_tensor(k), moving)
         assert rest == [0.0, 0, "gradient"]
@@ -551,7 +567,7 @@ def test_polish_reports_its_stop_and_never_reaches_the_cap():
     stress.append((_SLOW_MINUS, "-"))
     for k, (r, sign) in enumerate(stress + _iso_frames_pool(64)):
         kf = cones._quartic_form(r, sign)
-        moving, idle = cones._best_sample(kf, sign, 4096, k)
+        moving, idle = cones._best_sample(kf, 4096, k)
         c = cones._quartic_tensor(kf)
         f0 = float(cones._tensor_values(c, moving[None])[1][0])
         q, fval, steps, stop = cones._polish_quaternion(r, c, moving)
@@ -625,6 +641,12 @@ def test_wilking_min_approaches_the_margin_from_above():
         got = cones.wilking_min(r, "+", samples=8192, seed=seed)
         assert got >= margin - 1e-12
         assert got == pytest.approx(margin, abs=5e-3)
+
+
+def test_wilking_min_rejects_samples_below_one():
+    for samples in (0, -2):
+        with pytest.raises(ValueError, match="samples must be positive"):
+            cones.wilking_min(np.eye(6), samples=samples)
 
 
 def test_wilking_and_frame_routes_agree():

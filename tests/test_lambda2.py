@@ -305,9 +305,6 @@ def test_haar_blocks_are_the_one_batch_draw(n):
     batch_rng = np.random.default_rng(n)
     assert np.array_equal(np.concatenate(blocks), l2.haar_quaternions(batch_rng, n))
     assert rng.bit_generator.state == batch_rng.bit_generator.state
-    raw = list(l2._raw_blocks(np.random.default_rng(n), n))
-    assert [len(b) for b in raw] == [len(b) for b in blocks]
-    assert np.array_equal(l2._unit_rows(np.concatenate(raw)), np.concatenate(blocks))
 
 
 @pytest.mark.parametrize("rows", [1, 3, 1024, 4097])

@@ -43,7 +43,8 @@ def test_kernel_costs_runs(capsys):
     assert lines[0] == "kernel,cpu_ms_p50,cpu_ms_p25,cpu_ms_p75,minor_faults_per_call"
     rows = list(csv.reader(lines[1:]))
     assert [row[0] for row in rows] == [
-        "min_isotropic(4096)", "min_isotropic(4096,-)", "min_isotropic(4096,unpolished)", "average(5e4)", "invariance_probe(n=8)",
+        "min_isotropic(4096)", "min_isotropic(4096,-)", "min_isotropic(4096,unpolished)",
+        "min_isotropic(4096,-,unpolished)", "average(5e4)", "invariance_probe(n=8)",
         "integrate(10 steps)", "q_raw(8 operators)", "q_raw(1 operator)",
         "margins(1 operator)", "margins(32 operators)",
     ]
