@@ -13,9 +13,11 @@ prints one CSV row per kernel: name (quoted where it holds a comma), the
 median, first and third quartile of the CPU ms per call, and the minor page
 faults per call.  Each unpolished row is the call of the same sign without
 the polish, so the difference is the polish's cost per call and the
-unpolished row is the sampler's cost plus one frame.  The two margin
-rows show the fixed and the per-operator cost of the margin kernel that the
-flow record calls once per block.
+unpolished row is the sampler's cost plus one frame.  The quadratic rows
+are Q on upper-triangle coordinates, the kernel that each RK4 stage calls
+once, and the rk4_step row is one step of a stack of eight trajectories.
+The two margin rows show the fixed and the per-operator cost of the margin
+kernel that the flow record calls once per block.
 """
 
 import argparse
@@ -37,6 +39,9 @@ def _kernels():
     rng = np.random.default_rng(0)
     r = curvature.random_bianchi(rng, norm=1.0)
     stack = np.stack([curvature.random_bianchi(rng, norm=1.0) for _ in range(32)])
+    coords = flow._coords(stack[:8])
+    h = float(flow.default_dt(stack[:8]).min())
+    out = np.empty_like(coords)
     ten_steps = flow.FlowParams(t_max=1e-2, dt=1e-3)
     return {
         "min_isotropic(4096)": lambda: cones.min_isotropic(r, "+", samples=4096, seed=0),
@@ -46,8 +51,9 @@ def _kernels():
         "average(5e4)": lambda: group_actions.average(r, "left", n=50_000, seed=0),
         "invariance_probe(n=8)": lambda: flow.invariance_probe("ic_plus", n=8, seed=0),
         "integrate(10 steps)": lambda: flow.integrate(r, ten_steps),
-        "q_raw(8 operators)": lambda: flow._q_raw(stack[:8]),
-        "q_raw(1 operator)": lambda: flow._q_raw(r[None]),
+        "quadratic(8 operators)": lambda: flow._quadratic(coords, flow._Q_TABLE),
+        "quadratic(1 operator)": lambda: flow._quadratic(coords[:1], flow._Q_TABLE),
+        "rk4_step(8 operators)": lambda: flow._rk4_step(coords, h, 0.5 * h, h / 6.0, out),
         "margins(1 operator)": lambda: cones._margins(r[None]),
         "margins(32 operators)": lambda: cones._margins(stack),
     }

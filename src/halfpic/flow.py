@@ -5,9 +5,12 @@ The sharp operator is defined through the quadratic form
     <R# eta, eta> = -1/2 sum_i <[eta, R([eta, R(w_i)])], w_i>
 
 over any orthonormal bivector basis, that is R#_ab = -1/2 tr(ad_a R ad_b R)
-symmetrized.  The production path computes the traces as two stacked
-matrix products per operator against tables of the bracket structure
-constants built at import; the literal bracket evaluation and its
+symmetrized.  The production path works on the 21 upper-triangle
+coordinates of a symmetric operator: R# and Q = R^2 + R# are quadratic in
+them, so each is one structure-constant table, built from lambda2.AD at
+import, and one kernel evaluates either table on a stack as two matrix
+products.  The RK4 core runs on these coordinates and expands to 6x6
+operators once per record block.  The literal bracket evaluation and its
 polarization are kept alongside as the cross-check route and must agree to
 near machine precision.
 """
@@ -28,34 +31,90 @@ from .lambda2 import AD
 TRAJECTORY_HEADER = "t,scal,margin_scal,margin_icplus,margin_icminus,margin_ic,norm"
 BIANCHI_DRIFT_TOL = 1e-8
 
+# The upper-triangle coordinates of a symmetric operator: entry (i, j), i <= j,
+# in np.triu_indices order, at flat position _TRIU_FLAT of the 6x6 matrix.
+# _FULL[6 i + j] is the coordinate of entry (i, j), so one gather through it
+# expands coordinates back to 6x6 operators, and _DIAG holds the coordinates
+# of the diagonal.
+_TRIU = np.triu_indices(6)
+_TRIU_FLAT = np.ravel_multi_index(_TRIU, (6, 6))
+_FULL = np.empty((6, 6), dtype=np.intp)
+_FULL[_TRIU] = _FULL[_TRIU[::-1]] = np.arange(21)
+_DIAG = np.diagonal(_FULL).copy()
+_FULL = _FULL.ravel()
+
+# Both gathers use np.take, which returns C-contiguous rows: fancy indexing
+# on the last axis of a stack returns strided rows, and np.vecdot in _record
+# sums a strided row in another order than the same row alone.
+
+
+def _coords(r):
+    """(..., 6, 6) operators -> (..., 21) upper-triangle coordinates."""
+    return np.take(r.reshape(*r.shape[:-2], 36), _TRIU_FLAT, axis=-1)
+
+
+def _expand(y):
+    """(..., 21) coordinates -> (..., 6, 6) symmetric operators."""
+    return np.take(y, _FULL, axis=-1).reshape(*y.shape[:-1], 6, 6)
+
+
+def _quadratic_tables():
+    """The (21, 441) tables of R# and of Q = R^2 + R#.
+
+    A quadratic map F of symmetric operators is F(R)_k = sum_pq B(E_p, E_q)_k
+    y_p y_q, with y the coordinates of R, E_p the symmetric basis matrix of
+    coordinate p and B the symmetric bilinear form with B(R, R) = F(R).  Row
+    p, column 21 k + q of a table holds B(E_p, E_q)_k.  For R#,
+    B(R, S)_ab = -1/4 (tr(AD_a R AD_b S) + tr(AD_b R AD_a S)); Q adds
+    (RS + SR)/2.  Every entry is 0, +-1/2 or +-1, exact in floating point.
+    """
+    e = np.zeros((21, 6, 6))
+    p = np.arange(21)
+    e[p, _TRIU[0], _TRIU[1]] = e[p, _TRIU[1], _TRIU[0]] = 1.0
+    ad_e = (AD[:, None] @ e).reshape(126, 6, 6)  # AD_a E_p at 21 a + p
+    # tr(AD_a E_p AD_b E_q) = sum_ij (AD_a E_p)_ij (AD_b E_q)_ji at (a, b, p, q)
+    t = ad_e.reshape(126, 36) @ ad_e.mT.reshape(126, 36).T
+    t = t.reshape(6, 21, 6, 21).transpose(0, 2, 1, 3)
+    sharp = -0.25 * (t + t.transpose(1, 0, 2, 3))
+    ee = e[:, None] @ e  # E_p E_q at (p, q)
+    square = sharp + 0.5 * (ee + ee.transpose(1, 0, 2, 3)).transpose(2, 3, 0, 1)
+
+    def table(b):
+        # (6, 6, 21, 21) at (a, b, p, q) -> row p, column 21 k + q; + 0.0
+        # turns the -0.0 entries to 0.0
+        return np.ascontiguousarray(b[_TRIU].transpose(1, 0, 2).reshape(21, 441)) + 0.0
+
+    return table(sharp), table(square)
+
+
+_SHARP_TABLE, _Q_TABLE = _quadratic_tables()
+
+
+def _quadratic(y, table):
+    """The quadratic map of a table on an (m, 21) coordinate stack.
+
+    y @ table holds sum_p y_p B(E_p, E_q)_k of each operator at (k, q), and
+    one per-operator product with y sums over q.  A row's bits do not
+    depend on its stack mates (tested for every m up to 40).  Returns a new
+    (m, 21) stack.
+    """
+    m = len(y)
+    return ((y @ table).reshape(m, 21, 21) @ y[:, :, None]).reshape(m, 21)
+
+
+def _one_operator(r, table):
+    """The quadratic map of a table on one symmetric operator, as a 6x6
+    operator; where it overflows, the entries are non-finite and numpy
+    stays silent."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _expand(_quadratic(_coords(r)[None], table))[0]
+
 
 def sharp(r):
-    """Sharp operator R#, symmetric 6x6 (two stacked structure-constant
-    products)."""
-    r = check_operator(r)
-    return _sharp_raw(r[None])[0]
-
-
-# AD[a] @ R for every a as one (36, 6) @ (6, 6) product: row (a, i), column j
-_AD_ROWS = AD.reshape(36, 6)
-# _AD_COLS[k, (j, b)] = -1/4 AD[b, j, k], so R^T @ _AD_COLS holds
-# -1/4 (AD[b] R)[j, i] at row i, column (j, b)
-_AD_COLS = -0.25 * np.ascontiguousarray(AD.transpose(2, 1, 0).reshape(6, 36))
-
-
-def _sharp_raw(r):
-    """R# of each operator of an (n, 6, 6) stack.
-
-    R#_ab = -1/2 sym tr(AD[a] R AD[b] R), and the trace is
-    sum_ij (AD[a] R)_ij (AD[b] R)_ji: one (6, 36) @ (36, 6) product per
-    operator of two structure-constant products.  Every product is a
-    per-operator matrix product, so an operator's bits do not depend on its
-    stack mates.  The -1/2 and the symmetrizing 1/2 are one exact scaling by
-    -1/4, carried by the _AD_COLS table.
-    """
-    n = len(r)
-    s = (_AD_ROWS @ r).reshape(n, 6, 36) @ (r.mT @ _AD_COLS).reshape(n, 36, 6)
-    return s + s.mT
+    """Sharp operator R#, symmetric 6x6 (the kernel on the R# table).  An
+    operator whose R# overflows gives non-finite entries, without a
+    warning."""
+    return _one_operator(check_operator(r), _SHARP_TABLE)
 
 
 def sharp_quadratic_form(r, eta):
@@ -84,23 +143,20 @@ def sharp_by_polarization(r):
 
 
 def q_vf(r):
-    """Right-hand side of the curvature ODE, Q(R) = R^2 + R#."""
-    return _q_raw(require_bianchi_valid(r)[None])[0]
-
-
-def _q_raw(r):
-    """Q of an (n, 6, 6) stack."""
-    q = _sharp_raw(r)
-    q += r @ r
-    return q
+    """Right-hand side of the curvature ODE, Q(R) = R^2 + R# (the kernel on
+    the Q table).  An operator whose Q overflows gives non-finite entries,
+    without a warning."""
+    return _one_operator(require_bianchi_valid(r), _Q_TABLE)
 
 
 def bilinear_b(r, s):
-    """Symmetric bilinear form with B(R, R) = Q(R), by polarization of Q."""
+    """Symmetric bilinear form with B(R, R) = Q(R), by polarization of Q.
+    Where it overflows, the entries are non-finite, without a warning."""
     r = require_bianchi_valid(r, name="R")
     s = require_bianchi_valid(s, name="S")
-    q = _q_raw(np.stack([r + s, r, s]))
-    return 0.5 * (q[0] - q[1] - q[2])
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = _quadratic(_coords(np.stack([r + s, r, s])), _Q_TABLE)
+        return _expand(0.5 * (q[0] - q[1] - q[2]))
 
 
 def default_dt(r0):
@@ -157,18 +213,18 @@ RECORD_ROWS = 32
 def _record(block, idx, params, sample):
     """Check and sample one block of the running trajectories in one pass.
 
-    block holds their states after each of s consecutive steps, shape
-    (s, m, 6, 6), and idx their positions in the stack.  A trajectory's
-    samples are kept up to and including its first stop in the block, blowup
-    or a tracked margin under the floor; sample(idx, r, m, nrm) gets the kept
-    ones in step order, so its idx may repeat a trajectory.  Raises if a kept
-    sample has drifted off the Bianchi subspace (drift 3|star component| =
-    |trace(R HODGE_STAR)|/2), naming the first in step order.  Returns the
-    mask of the trajectories that stopped in the block and the mask of those
-    whose stop is a blowup.
+    block holds their coordinates after each of s consecutive steps, shape
+    (s, m, 21), and idx their positions in the stack; the block is expanded
+    to 6x6 operators once.  A trajectory's samples are kept up to and
+    including its first stop in the block, blowup or a tracked margin under
+    the floor; sample(idx, r, m, nrm) gets the kept ones in step order, so
+    its idx may repeat a trajectory.  Raises if a kept sample has drifted off
+    the Bianchi subspace (drift 3|star component| = |trace(R HODGE_STAR)|/2),
+    naming the first in step order.  Returns the mask of the trajectories
+    that stopped in the block and the mask of those whose stop is a blowup.
     """
     s, n = block.shape[:2]
-    r = block.reshape(s * n, 6, 6)
+    r = _expand(block.reshape(s * n, 21))
     m = _fast_margins(r)
     flat = r.reshape(s * n, 36)
     nrm = np.sqrt(np.vecdot(flat, flat))
@@ -198,18 +254,19 @@ def _record(block, idx, params, sample):
     return stopped, blowup
 
 
-def _overflowed(r):
-    """Mask of the operators with a non-finite entry, None when there is none."""
-    if math.isfinite(np.vdot(r, r)):
+def _overflowed(y):
+    """Mask of the coordinate rows with a non-finite entry, None when there
+    is none."""
+    if math.isfinite(np.vdot(y, y)):
         return None
-    lost = ~np.isfinite(r).all(axis=(1, 2))
+    lost = ~np.isfinite(y).all(axis=1)
     return lost if lost.any() else None
 
 
 def _step_factors(dt):
     """h, h/2 and h/6 for the running trajectories: scalars when they share
-    one step, (m, 1, 1) columns otherwise."""
-    h = dt[0] if (dt == dt[0]).all() else dt[:, None, None]
+    one step, (m, 1) columns otherwise."""
+    h = dt[0] if (dt == dt[0]).all() else dt[:, None]
     return h, 0.5 * h, h / 6.0
 
 
@@ -222,30 +279,30 @@ def _step_counts(t_max, dt):
     return full.astype(int), x - full > 1e-9
 
 
-def _rk4_step(r, h, half, sixth, out):
-    """One classical RK4 step of a stack, r + h/6 (((k1 + 2 k2) + 2 k3) + k4),
-    summed in place in that order, each k freed as soon as it is summed.  The
-    stage inputs and then the result are written to out, which must not
-    overlap r; returns out."""
-    acc = _q_raw(r)
-    y = np.multiply(acc, half, out=out)
-    y += r
-    k = _q_raw(y)
-    np.multiply(k, half, out=y)
-    y += r
+def _rk4_step(y, h, half, sixth, out):
+    """One classical RK4 step of an (m, 21) coordinate stack,
+    y + h/6 (((k1 + 2 k2) + 2 k3) + k4), summed in place in that order, each k
+    freed as soon as it is summed.  The stage inputs and then the result are
+    written to out, which must not overlap y; returns out."""
+    acc = _quadratic(y, _Q_TABLE)
+    z = np.multiply(acc, half, out=out)
+    z += y
+    k = _quadratic(z, _Q_TABLE)
+    np.multiply(k, half, out=z)
+    z += y
     k *= 2.0
     acc += k
     del k
-    k = _q_raw(y)
-    np.multiply(k, h, out=y)
-    y += r
+    k = _quadratic(z, _Q_TABLE)
+    np.multiply(k, h, out=z)
+    z += y
     k *= 2.0
     acc += k
     del k
-    acc += _q_raw(y)
-    np.multiply(acc, sixth, out=y)
-    y += r
-    return y
+    acc += _quadratic(z, _Q_TABLE)
+    np.multiply(acc, sixth, out=z)
+    z += y
+    return z
 
 
 def _rk4(r, params, sample):
@@ -253,18 +310,18 @@ def _rk4(r, params, sample):
 
     Each trajectory has its own fixed step (default_dt unless params.dt is
     set) and step count, ends at t_max with a partial last step where the
-    step does not divide it, and stops on its own.  The states of the
-    running trajectories are recorded in blocks of up to RECORD_ROWS
-    operator-steps that end where the step schedule changes: each step
-    writes into its block slot, and _record checks and samples the block in
-    one pass.  sample(idx, r, m, nrm) gets the operators, margins and norms
-    of the kept samples of one block in step order, idx their positions in
-    the stack: the t=0 sample first, then every step up to each
-    trajectory's stop.  A step that overflows to a non-finite operator, or
-    under normalization turns a scalar curvature nonpositive, ends the block
-    before it and is then settled on its own: an overflowing trajectory ends
-    as a blowup and is not sampled.  Returns the termination and the step
-    of each trajectory.
+    step does not divide it, and stops on its own.  The running states are
+    the upper-triangle coordinates of the operators.  They are recorded in
+    blocks of up to RECORD_ROWS operator-steps that end where the step
+    schedule changes: each step writes into its block slot, and _record
+    checks and samples the block in one pass.  sample(idx, r, m, nrm) gets
+    the operators, margins and norms of the kept samples of one block in
+    step order, idx their positions in the stack: the t=0 sample first, then
+    every step up to each trajectory's stop.  A step that overflows to a
+    non-finite operator, or under normalization turns a scalar curvature
+    nonpositive, ends the block before it and is then settled on its own:
+    an overflowing trajectory ends as a blowup and is not sampled.  Returns
+    the termination and the step of each trajectory.
     """
     if not isinstance(params, FlowParams):
         raise TypeError("params must be a FlowParams")
@@ -283,24 +340,26 @@ def _rk4(r, params, sample):
         raise ValueError("dt must be smaller than t_max")
     for cone in params.margin_cones:
         cones._check_cone(cone)
+    y = _coords(r)
+    del r  # only the coordinates run, so a probe's seed stack is freed here
     if params.normalize:
-        scal0 = 2.0 * np.trace(r, axis1=-2, axis2=-1)
+        scal0 = 2.0 * y[:, _DIAG].sum(axis=1)
         if (scal0 <= 0.0).any():
             raise ValueError("normalization requires positive initial scalar curvature")
 
     full, partial = _step_counts(params.t_max, dt)
     steps, tail = full + partial, params.t_max - full * dt
-    terminations = ["completed"] * len(r)
-    idx = np.arange(len(r))
+    terminations = ["completed"] * len(y)
+    idx = np.arange(len(y))
 
-    def rescaled(r):
-        # under normalization, rescale r in place to the initial scalar
-        # curvatures; False, with r untouched, where one turned nonpositive
+    def rescaled(y):
+        # under normalization, rescale y in place to the initial scalar
+        # curvatures; False, with y untouched, where one turned nonpositive
         if params.normalize:
-            s_now = 2.0 * np.trace(r, axis1=-2, axis2=-1)
+            s_now = 2.0 * y[:, _DIAG].sum(axis=1)
             if np.count_nonzero(s_now <= 0.0):
                 return False
-            r *= (scal0[idx] / s_now)[:, None, None]
+            y *= (scal0[idx] / s_now)[:, None]
         return True
 
     def settle(k, stopped, blowup):
@@ -315,7 +374,7 @@ def _rk4(r, params, sample):
         idx = idx[~done]
         return ~done
 
-    _record(r[None], idx, params, sample)  # t=0: a one-step block, no stop
+    _record(y[None], idx, params, sample)  # t=0: a one-step block, no stop
     k = 0
     # an overflowing step is caught by _overflowed, not by a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -325,11 +384,11 @@ def _rk4(r, params, sample):
             f = full[idx]
             h, half, sixth = _step_factors(np.where(f > k, dt[idx], tail[idx]))
             last = int(np.where(f > k, f, steps[idx]).min())
-            block = np.empty((min(max(1, RECORD_ROWS // len(idx)), last - k), len(idx), 6, 6))
+            block = np.empty((min(max(1, RECORD_ROWS // len(idx)), last - k), len(idx), 21))
             clean = len(block)
             for s in range(len(block)):
-                r = _rk4_step(r, h, half, sixth, block[s])
-                if _overflowed(r) is not None or not rescaled(r):
+                y = _rk4_step(y, h, half, sixth, block[s])
+                if _overflowed(y) is not None or not rescaled(y):
                     clean = s
                     break
             alive = slice(None)
@@ -337,21 +396,21 @@ def _rk4(r, params, sample):
                 k += clean
                 alive = settle(k, *_record(block[:clean], idx, params, sample))
             if clean == len(block) or not len(idx):
-                r = block[-1][alive]
+                y = block[-1][alive]
                 continue
             # the step that cut the block, for the trajectories still running
-            r = block[clean][alive]
-            lost = _overflowed(r)
+            y = block[clean][alive]
+            lost = _overflowed(y)
             if lost is not None:
                 for j in np.flatnonzero(lost):
                     terminations[idx[j]] = "blowup"
-                idx, r = idx[~lost], r[~lost]
+                idx, y = idx[~lost], y[~lost]
                 if not len(idx):
                     break
-            if not rescaled(r):
+            if not rescaled(y):
                 raise RuntimeError("scalar curvature became nonpositive under normalization")
             k += 1
-            r = r[settle(k, *_record(r[None], idx, params, sample))]
+            y = y[settle(k, *_record(y[None], idx, params, sample))]
     return terminations, dt
 
 
@@ -408,11 +467,6 @@ def trajectory_csv(traj):
         )
         buf.write(",".join(f"{x:.17g}" for x in row) + "\n")
     return buf.getvalue()
-
-
-def write_trajectory_csv(traj, path):
-    with open(path, "w") as fh:
-        fh.write(trajectory_csv(traj))
 
 
 def trajectory_snapshots(traj):
@@ -506,7 +560,7 @@ def invariance_probe(
         np.minimum.at(minima_norm, idx, vals / (1.0 + nrm))
 
     # the seed stack goes straight to _rk4, so no reference to it outlives
-    # the first step
+    # its coordinates
     n_boundary = int(round(boundary_fraction * n))
     ends, _ = _rk4(
         _seed_stack(cone, n, seed, n_boundary, margin_low, margin_high), params, sample

@@ -87,37 +87,86 @@ def test_q_rejects_bianchi_violations():
         flow.q_vf(l2.HODGE_STAR)
 
 
+def _q(y):
+    # the kernel on the Q table, on an (m, 21) coordinate stack
+    return flow._quadratic(y, flow._Q_TABLE)
+
+
+def test_q_is_symmetric_and_overflows_to_non_finite_entries_silently():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = 2.0**600 * np.eye(6)
+        for out in (flow.q_vf(big), flow.sharp(big), flow.bilinear_b(big, big)):
+            assert out.shape == (6, 6)
+            assert not np.isfinite(out).all()
+        q = flow.q_vf(_bianchi(0))
+    np.testing.assert_array_equal(q, q.T)
+
+
+def test_quadratic_tables_are_the_polarized_reference_routes():
+    # B(E_p, E_q) = (F(E_p + E_q) - F(E_p) - F(E_q)) / 2 for F = R# and for
+    # F = Q, on all 231 pairs p <= q of coordinate basis matrices; the
+    # reference routes are exact on these small integer operators
+    iu, ju = np.triu_indices(6)
+    basis = np.zeros((21, 6, 6))
+    basis[np.arange(21), iu, ju] = basis[np.arange(21), ju, iu] = 1.0
+
+    def reference(r):
+        sharp = flow.sharp_by_polarization(r)
+        return {"sharp": sharp, "q": r @ r + sharp}
+
+    tables = {"sharp": flow._SHARP_TABLE.reshape(21, 21, 21),
+              "q": flow._Q_TABLE.reshape(21, 21, 21)}
+    single = [reference(e) for e in basis]
+    for p in range(21):
+        for q in range(p, 21):
+            both = reference(basis[p] + basis[q]) if q > p else None
+            for name, table in tables.items():
+                want = single[p][name] if q == p else (
+                    both[name] - single[p][name] - single[q][name]) / 2.0
+                np.testing.assert_array_equal(table[p, :, q], want[iu, ju])
+                np.testing.assert_array_equal(table[q, :, p], want[iu, ju])
+    for table in tables.values():
+        assert set(np.unique(table).tolist()) <= {-1.0, -0.5, 0.0, 0.5, 1.0}
+
+
 def test_stacked_q_matches_each_operator_alone():
-    ops = np.stack([_bianchi(seed, norm=10.0 ** (seed % 7 - 3)) for seed in range(14)])
-    q = flow._q_raw(ops)
-    for k in range(len(ops)):
-        np.testing.assert_array_equal(q[k], flow._q_raw(ops[k : k + 1])[0])
-        np.testing.assert_array_equal(q[k], flow.q_vf(ops[k]))
-    # every stack size a probe step meets
+    # a 2-D matrix product may pick its kernel by row count, so every stack
+    # size up to 40 is checked, at several norms
     rng = np.random.default_rng(40)
     for norm in (1e-3, 1.0, 1e6):
-        for n in range(1, 9):
+        for n in range(1, 41):
             ops = np.stack([cv.random_bianchi(rng, norm=norm) for _ in range(n)])
-            q = flow._q_raw(ops)
+            y = flow._coords(ops)
+            q = _q(y)
             for k in range(n):
-                np.testing.assert_array_equal(q[k], flow._q_raw(ops[k : k + 1])[0])
+                np.testing.assert_array_equal(q[k], _q(y[k : k + 1])[0])
+    ops = np.stack([_bianchi(seed, norm=10.0 ** (seed % 7 - 3)) for seed in range(14)])
+    q = flow._expand(_q(flow._coords(ops)))
+    for k in range(len(ops)):
+        np.testing.assert_array_equal(q[k], flow.q_vf(ops[k]))
 
 
 def test_q_matches_square_plus_polarized_sharp():
-    # also off the Bianchi subspace, where only the symmetry of R is used
+    # random operators over many norms, operators on each cone boundary,
+    # norms 1e+-150, and off the Bianchi subspace, where only the symmetry
+    # of R is used
     g = np.random.default_rng(41).standard_normal((6, 6))
     ops = [_bianchi(seed, norm=10.0 ** (seed - 3)) for seed in range(7)] + [g + g.T]
+    ops += [cones.shift_to_margin(_bianchi(seed, norm=1.0), cone, 0.0)
+            for seed, cone in enumerate(cones.CONE_IDS, start=20)]
+    ops += [_bianchi(seed, norm=norm) for seed in (30, 31) for norm in (1e-150, 1e150)]
     for r in ops:
         want = r @ r + flow.sharp_by_polarization(r)
-        err = np.abs(flow._q_raw(r[None])[0] - want).max()
-        assert err <= 1e-14 * (1.0 + np.linalg.norm(r) ** 2)
+        err = np.abs(flow._expand(_q(flow._coords(r[None])))[0] - want).max()
+        assert err <= 1e-14 * np.linalg.norm(r) ** 2
 
 
 def test_q_is_exactly_homogeneous_under_powers_of_two():
-    ops = np.stack([_bianchi(seed, norm=1.0) for seed in range(5)])
-    q = flow._q_raw(ops)
+    y = flow._coords(np.stack([_bianchi(seed, norm=1.0) for seed in range(5)]))
+    q = _q(y)
     for k in (-40, 5, 60):
-        np.testing.assert_array_equal(flow._q_raw(np.ldexp(ops, k)), np.ldexp(q, 2 * k))
+        np.testing.assert_array_equal(_q(np.ldexp(y, k)), np.ldexp(q, 2 * k))
 
 
 def test_bilinear_b_polarizes_q():
@@ -277,8 +326,9 @@ def test_trajectory_operators_are_independent_arrays():
 
 def test_mid_flow_bianchi_drift_is_detected(monkeypatch):
     # a vector field with a star component leaves the Bianchi subspace
-    # a new stack per call, as _q_raw returns: the RK4 step sums into it
-    monkeypatch.setattr(flow, "_q_raw", lambda r: np.repeat(l2.HODGE_STAR[None], len(r), axis=0))
+    # a new stack per call, as _quadratic returns: the RK4 step sums into it
+    star = flow._coords(l2.HODGE_STAR)
+    monkeypatch.setattr(flow, "_quadratic", lambda y, table: np.repeat(star[None], len(y), axis=0))
     with pytest.raises(RuntimeError, match="Bianchi drift .* exceeded tolerance mid-flow"):
         flow.integrate(np.eye(6), flow.FlowParams(t_max=0.01, dt=1e-3))
 
@@ -356,7 +406,7 @@ def test_trajectory_csv_roundtrips_at_full_precision(tmp_path):
     np.testing.assert_array_equal(parsed[:, 1], traj.scal)
     np.testing.assert_array_equal(parsed[:, 6], traj.norm)
     path = tmp_path / "traj.csv"
-    flow.write_trajectory_csv(traj, path)
+    path.write_text(flow.trajectory_csv(traj))
     assert path.read_text() == text
 
 
@@ -562,17 +612,17 @@ def test_a_defect_after_a_stop_in_the_same_block_is_not_checked(monkeypatch, nor
     params = flow.FlowParams(
         t_max=0.05, dt=1e-3, normalize=normalize, margin_cones=("ic_plus",), margin_floor=-0.5
     )
-    defect = -1e4 * np.eye(6) if normalize else l2.HODGE_STAR
-    q_raw, sizes = flow._q_raw, []
+    defect = flow._coords(-1e4 * np.eye(6) if normalize else l2.HODGE_STAR)
+    quadratic, sizes = flow._quadratic, []
 
-    def stand_in(r):
-        sizes.append(len(r))
-        q = q_raw(r)
-        if len(sizes) > 4 and len(r) == 2:
+    def stand_in(y, table):
+        sizes.append(len(y))
+        q = quadratic(y, table)
+        if len(sizes) > 4 and len(y) == 2:
             q[0] += defect
         return q
 
-    monkeypatch.setattr(flow, "_q_raw", stand_in)
+    monkeypatch.setattr(flow, "_quadratic", stand_in)
     ends, log, _ = _logged_core(seeds, params)
     assert sizes.count(2) > 4  # the defect did enter trajectory 0
     monkeypatch.undo()
@@ -603,10 +653,10 @@ def _plain_rk4(r0, dt, t_max):
     # one operator, step by step, with a partial last step: no blocks
     full = int(np.floor(t_max / dt + 1e-9))
     tail = t_max - full * dt
-    states, r = [r0], r0[None]
+    states, y = [r0], flow._coords(r0[None])
     for h in [dt] * full + [tail] * (t_max / dt - full > 1e-9):
-        r = flow._rk4_step(r, h, 0.5 * h, h / 6.0, np.empty_like(r))
-        states.append(r[0])
+        y = flow._rk4_step(y, h, 0.5 * h, h / 6.0, np.empty_like(y))
+        states.append(flow._expand(y[0]))
     return states
 
 

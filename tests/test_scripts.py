@@ -45,8 +45,8 @@ def test_kernel_costs_runs(capsys):
     assert [row[0] for row in rows] == [
         "min_isotropic(4096)", "min_isotropic(4096,-)", "min_isotropic(4096,unpolished)",
         "min_isotropic(4096,-,unpolished)", "average(5e4)", "invariance_probe(n=8)",
-        "integrate(10 steps)", "q_raw(8 operators)", "q_raw(1 operator)",
-        "margins(1 operator)", "margins(32 operators)",
+        "integrate(10 steps)", "quadratic(8 operators)", "quadratic(1 operator)",
+        "rk4_step(8 operators)", "margins(1 operator)", "margins(32 operators)",
     ]
     for _, p50, p25, p75, faults in rows:
         assert 0.0 < float(p25) <= float(p50) <= float(p75)
