@@ -1,5 +1,5 @@
 """Curvature cones on R^4: scalar, half-isotropic (plus/minus), and their
-intersection, with membership margins, inradii, and the frame-based isotropic
+intersection, with membership margins and the frame-based isotropic
 curvature minimization used as an independent cross-check.
 """
 
@@ -17,7 +17,6 @@ from .lambda2 import MINUS_BASIS, PLUS_BASIS
 CONE_IDS = ("scal", "ic_plus", "ic_minus", "ic")
 
 BOUNDARY_TOL = 1e-9
-WILKING_TOL = 1e-9
 
 # Shift slope of each cone margin along the identity direction:
 # scal(R + t Id) = scal(R) + 12 t, pic margins move by 2 t.
@@ -141,24 +140,8 @@ def membership(r, tol=None):
     return MembershipReport(margins=margins, classification=classification, tol=tol)
 
 
-def inradius(r, cone):
-    """Largest t with R - t Id still in the cone: margin / MARGIN_SLOPE."""
-    m = cone_margin(r, cone)
-    if m < -default_boundary_tol(r):
-        raise ValueError(f"operator lies outside the {cone} cone (margin {m:.3e})")
-    return m / MARGIN_SLOPE[cone]
-
-
 # ---------------------------------------------------------------------------
 # frame-based isotropic curvature
-
-
-def check_frame(f):
-    """Validate an oriented orthonormal frame (special orthogonal 4x4)."""
-    f = lambda2.check_rotation(f, name="frame")
-    if np.linalg.det(f) < 0.0:
-        raise ValueError("frame is orientation reversing; compose with a flip first")
-    return f
 
 
 # The columns f1, f2, f1, f2 and f3, f4, f4, f3 of a frame, wedged pairwise
@@ -168,8 +151,9 @@ _WEDGE_RIGHT = [2, 3, 3, 2]
 
 
 def _pair_values(r, frames, flip):
-    # frames: (n, 4, 4); returns <R u, u> + <R v, v> for each frame, where
-    # u = f1^f3 - f2^f4', v = f1^f4' + f2^f3 and f4' = flip * f4.
+    # frames: (n, 4, 4); returns the isotropic curvature sum
+    # <R u, u> + <R v, v> of each frame, where u = f1^f3 - f2^f4',
+    # v = f1^f4' + f2^f3 and f4' = flip * f4.
     cols = frames.swapaxes(1, 2)
     right = cols[:, _WEDGE_RIGHT]
     right[:, 1:3] *= flip
@@ -177,14 +161,6 @@ def _pair_values(r, frames, flip):
     u = w[:, 0] - w[:, 1]
     v = w[:, 2] + w[:, 3]
     return np.einsum("ni,ij,nj->n", u, r, u) + np.einsum("ni,ij,nj->n", v, r, v)
-
-
-def isotropic_value(r, frame):
-    """Isotropic curvature sum of an oriented frame,
-    <R u, u> + <R v, v> with u = f1^f3 - f2^f4 and v = f1^f4 + f2^f3."""
-    r = require_bianchi_valid(r)
-    frame = check_frame(frame)
-    return float(_pair_values(r, frame[None], 1.0)[0])
 
 
 # The sign of f4 in _pair_values for each half cone.
@@ -345,76 +321,3 @@ def _polish_quaternion(r, c, q):
         j = passed[0]
         q, h, fval = trials[j], hs[j], float(vals[j])
     return q, fval, POLISH_STEPS, "cap"
-
-
-# ---------------------------------------------------------------------------
-# Wilking's nonnegativity set
-
-
-@dataclass
-class ComplexBivector:
-    """Complex 2-form omega = re + i im given by two real bivectors."""
-
-    re: np.ndarray
-    im: np.ndarray
-
-    def __post_init__(self):
-        self.re = np.asarray(self.re, dtype=float)
-        self.im = np.asarray(self.im, dtype=float)
-        for part, label in ((self.re, "re"), (self.im, "im")):
-            if part.shape != (6,) or not np.all(np.isfinite(part)):
-                raise ValueError(f"{label} must be a finite 6-vector")
-
-
-def in_wilking_set(omega, sign="+"):
-    """Membership in the zero-trace-square set inside the complexified Hodge
-    eigenspace: both parts fixed by the projector, equal norms, orthogonal."""
-    _check_sign(sign)
-    p = lambda2.P_PLUS if sign == "+" else lambda2.P_MINUS
-    re, im = omega.re, omega.im
-    bound = WILKING_TOL * (1.0 + float(re @ re + im @ im))
-    if np.abs(p @ re - re).max() > bound:
-        return False
-    if np.abs(p @ im - im).max() > bound:
-        return False
-    if abs(float(re @ re - im @ im)) > bound:
-        return False
-    if abs(float(re @ im)) > bound:
-        return False
-    return True
-
-
-def wilking_value(r, omega):
-    """Hermitian evaluation <R re, re> + <R im, im>; rejects omega outside
-    the set (either orientation)."""
-    r = require_bianchi_valid(r)
-    if not (in_wilking_set(omega, "+") or in_wilking_set(omega, "-")):
-        raise ValueError("omega is not in the Wilking set for either orientation")
-    return float(omega.re @ r @ omega.re + omega.im @ r @ omega.im)
-
-
-def sample_wilking(rng, sign="+"):
-    """Random unit-normalized member: an orthonormal pair in the eigenspace."""
-    basis = PLUS_BASIS if _check_sign(sign) == "+" else MINUS_BASIS
-    a, b = rng.standard_normal((2, 3))
-    a = a / np.linalg.norm(a)
-    b = b - (b @ a) * a
-    b = b / np.linalg.norm(b)
-    return ComplexBivector(re=basis @ a, im=basis @ b)
-
-
-def wilking_min(r, sign="+", samples=4096, seed=0):
-    """Minimum sampled wilking_value; converges from above to the
-    two-positivity margin of the matching block."""
-    r = require_bianchi_valid(r)
-    basis = PLUS_BASIS if _check_sign(sign) == "+" else MINUS_BASIS
-    n = _check_samples(samples)
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((n, 3))
-    b = rng.standard_normal((n, 3))
-    a = a / np.linalg.norm(a, axis=1, keepdims=True)
-    b = b - np.sum(b * a, axis=1, keepdims=True) * a
-    b = b / np.linalg.norm(b, axis=1, keepdims=True)
-    block = basis.T @ r @ basis
-    vals = np.einsum("ni,ij,nj->n", a, block, a) + np.einsum("ni,ij,nj->n", b, block, b)
-    return float(vals.min())

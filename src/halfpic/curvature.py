@@ -58,7 +58,7 @@ def _as_tensor(r):
 
 def bianchi_defect(r):
     """Largest cyclic first-Bianchi sum over all basis 4-tuples.  Reference
-    route: the validity tests use the equal star trace 3 |star_component|."""
+    route: the validity test uses the equal star trace 3 |star_component|."""
     t = _as_tensor(check_operator(r))
     cyc = t + np.transpose(t, (2, 0, 1, 3)) + np.transpose(t, (1, 2, 0, 3))
     return float(np.abs(cyc).max())
@@ -88,20 +88,10 @@ def _norm(x):
     return np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e)
 
 
-def _bianchi_defect_and_bound(r):
-    # The star-trace defect of a checked operator and the band it must stay
-    # within, shared by both validity tests.
-    return 3.0 * abs(star_component(r)), BIANCHI_TOL * (1.0 + _norm(r))
-
-
-def is_bianchi_valid(r):
-    defect, bound = _bianchi_defect_and_bound(check_operator(r))
-    return defect <= bound
-
-
 def require_bianchi_valid(r, name="R"):
+    """check_operator, then a star-trace defect within BIANCHI_TOL (1 + |R|)."""
     r = check_operator(r, name=name)
-    defect, bound = _bianchi_defect_and_bound(r)
+    defect, bound = 3.0 * abs(star_component(r)), BIANCHI_TOL * (1.0 + _norm(r))
     if defect > bound:
         raise OperatorFormatError(
             f"{name} violates the first Bianchi identity (defect {defect:.3e} > {bound:.3e})"
@@ -114,12 +104,8 @@ def scalar(r):
     return 2.0 * float(np.trace(check_operator(r)))
 
 
-def ricci(r):
-    """Ricci morphism, <ric(x), y> = sum_i <R(x^e_i), y^e_i>."""
-    return _ricci(check_operator(r))
-
-
 def _ricci(r):
+    # Ricci morphism of a checked operator, <ric(x), y> = sum_i <R(x^e_i), y^e_i>.
     return np.einsum("aibi->ab", _as_tensor(r))
 
 
@@ -259,11 +245,21 @@ def operator_from_json(obj):
             f"operator basis mismatch: expected {BASIS_STRING!r}, got {obj.get('basis')!r}"
         )
     matrix = obj.get("matrix")
+    if not _json_numbers(matrix):
+        raise OperatorFormatError("operator matrix is not numeric: an entry is not a JSON number")
     try:
         r = np.asarray(matrix, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise OperatorFormatError(f"operator matrix is not numeric: {exc}") from exc
     return check_operator(r, name="operator matrix")
+
+
+def _json_numbers(x):
+    # True when every leaf of the nested lists x is a JSON int or float; a
+    # string, a bool or null is not a number
+    if isinstance(x, list):
+        return all(_json_numbers(v) for v in x)
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def write_operator(r, path):

@@ -119,26 +119,34 @@ def sharp(r):
 
 def sharp_quadratic_form(r, eta):
     """Literal evaluation of the defining quadratic form at eta."""
-    r = check_operator(r)
+    return float(_sharp_forms(check_operator(r), lambda2._as_vector(eta, 6, "eta")))
+
+
+def _sharp_forms(r, eta):
+    """The defining quadratic form at each bivector of an (..., 6) stack eta:
+    the brackets of eta with R w_i, column i of R, for the six basis
+    bivectors w_i, then with R applied to those, each round one stacked
+    so(4) commutator; the six terms <., w_i> are summed in basis order."""
+    eta = eta[..., None, :]
+    inner = lambda2._bracket(eta, r.T)
+    outer = lambda2._bracket(eta, np.matmul(r, inner[..., None])[..., 0])
+    terms = np.diagonal(outer, axis1=-2, axis2=-1)
     total = 0.0
-    for w in np.eye(6):
-        inner = lambda2.bracket(eta, r @ w)
-        outer = lambda2.bracket(eta, r @ inner)
-        total += float(outer @ w)
+    for i in range(6):
+        total = total + terms[..., i]
     return -0.5 * total
 
 
 def sharp_by_polarization(r):
     """Sharp operator assembled entry by entry from the quadratic form,
-    <R# a, b> = (q(a+b) - q(a-b))/4.  Slow reference route for sharp."""
+    <R# a, b> = (q(a+b) - q(a-b))/4, all 42 forms as one stack.  Slow
+    reference route for sharp."""
     r = check_operator(r)
+    a, b = np.triu_indices(6)
     eye = np.eye(6)
+    q = _sharp_forms(r, np.concatenate([eye[a] + eye[b], eye[a] - eye[b]]))
     s = np.zeros((6, 6))
-    for a in range(6):
-        for b in range(a, 6):
-            qp = sharp_quadratic_form(r, eye[:, a] + eye[:, b])
-            qm = sharp_quadratic_form(r, eye[:, a] - eye[:, b])
-            s[a, b] = s[b, a] = (qp - qm) / 4.0
+    s[a, b] = s[b, a] = (q[:21] - q[21:]) / 4.0
     return s
 
 

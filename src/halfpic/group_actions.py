@@ -23,11 +23,10 @@ FACTORS = ("left", "right")
 def exact_projection(r, factor="left"):
     """Limit of the factor average: scalar part plus one Weyl block."""
     d = decompose(r)
+    _check_factor(factor)
     if factor == "left":
         return assemble(scal=d.scal, wplus=d.wplus)
-    if factor == "right":
-        return assemble(scal=d.scal, wminus=d.wminus)
-    raise ValueError(f"factor must be one of {FACTORS}, got {factor!r}")
+    return assemble(scal=d.scal, wminus=d.wminus)
 
 
 # Left factor x -> x q^(-1) fixes the self-dual forms and rotates the

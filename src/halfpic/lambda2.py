@@ -52,13 +52,6 @@ def _wedge_maps(a, b):
     return a[..., k, i] * b[..., l, j] - a[..., l, i] * b[..., k, j]
 
 
-def inner(a, b):
-    """Bivector inner product; the basis pairs e_i^e_j (i<j) are orthonormal."""
-    a = _as_vector(a, 6, "a")
-    b = _as_vector(b, 6, "b")
-    return float(a @ b)
-
-
 def _build_hodge_star():
     # e12 <-> e34, e14 <-> e23, e13 <-> -e24.
     s = np.zeros((6, 6))
@@ -98,21 +91,16 @@ MINUS_BASIS = np.array(
 ) / _SQ2
 
 
-def selfdual_basis(sign):
-    """The three orthonormal basis bivectors of the +-1 Hodge eigenspace."""
-    if sign == "+":
-        return [PLUS_BASIS[:, k].copy() for k in range(3)]
-    if sign == "-":
-        return [MINUS_BASIS[:, k].copy() for k in range(3)]
-    raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-
-
 def to_so4(b):
     """Skew 4x4 matrix of a bivector, x^y acting as u -> <x,u>y - <y,u>x."""
-    b = _as_vector(b, 6, "b")
-    m = np.zeros((4, 4))
-    m[PAIR_J, PAIR_I] = b
-    m[PAIR_I, PAIR_J] = -b
+    return _so4(_as_vector(b, 6, "b"))
+
+
+def _so4(b):
+    # (..., 6) -> (..., 4, 4), the skew matrices of a stack of bivectors
+    m = np.zeros(b.shape[:-1] + (4, 4))
+    m[..., PAIR_J, PAIR_I] = b
+    m[..., PAIR_I, PAIR_J] = -b
     return m
 
 
@@ -129,18 +117,24 @@ def from_so4(m):
 
 def bracket(a, b):
     """Lie bracket of bivectors through the so(4) matrix commutator."""
-    ma = to_so4(a)
-    mb = to_so4(b)
-    return from_so4(ma @ mb - mb @ ma)
+    return _bracket(_as_vector(a, 6, "a"), _as_vector(b, 6, "b"))
+
+
+def _bracket(a, b):
+    # (..., 6), (..., 6) -> (..., 6), the commutator of two broadcast stacks
+    # in so(4), one 4x4 product per pair.  Entries (i, j) of AB and (j, i) of
+    # BA sum the same products in the same order, so the commutator is skew
+    # to the last bit and is read off without from_so4's check.
+    ma = _so4(a)
+    mb = _so4(b)
+    c = ma @ mb - mb @ ma
+    return c[..., PAIR_J, PAIR_I]
 
 
 def _build_ad():
-    ad = np.zeros((6, 6, 6))
+    # AD[a][:, j] = [basis_a, basis_j], all 36 brackets as one stack
     eye = np.eye(6)
-    for a in range(6):
-        for j in range(6):
-            ad[a][:, j] = bracket(eye[:, a], eye[:, j])
-    return ad
+    return _bracket(eye[:, None], eye[None]).transpose(0, 2, 1).copy()
 
 
 # AD[a] is the matrix of ad(basis_a) acting on bivectors, built once from the

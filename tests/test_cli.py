@@ -110,6 +110,17 @@ def test_exit_codes_for_bad_operator_files(tmp_path, capsys):
         assert needle in err, fname
 
 
+@pytest.mark.parametrize("entry", ['"1"', '"1e0"', "true", "null"])
+def test_classify_rejects_entries_that_are_not_numbers(tmp_path, capsys, entry):
+    text = json.dumps(cv.operator_to_json(np.eye(6))).replace("1.0", entry, 1)
+    p = tmp_path / "op.json"
+    p.write_text(text)
+    code, out, err = _run(capsys, "classify", "--input", str(p))
+    assert code == 1
+    assert out == ""
+    assert "not numeric" in err
+
+
 def test_exit_code_for_missing_file(capsys):
     code, _, err = _run(capsys, "classify", "--input", "no/such/file.json")
     assert code == 1

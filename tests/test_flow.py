@@ -45,6 +45,22 @@ def test_sharp_quadratic_form_is_the_diagonal(rng):
         )
 
 
+def test_stacked_sharp_forms_are_each_form_alone_bit_for_bit(rng):
+    # sharp_by_polarization evaluates its 42 forms as one stack
+    for r in (_bianchi(3), 1e100 * _bianchi(4), cv.model("cp2", 12.0)):
+        etas = rng.standard_normal((9, 6))
+        got = flow._sharp_forms(r, etas)
+        for k in range(9):
+            assert got[k] == flow.sharp_quadratic_form(r, etas[k])
+
+
+def test_sharp_quadratic_form_validates_its_bivector():
+    with pytest.raises(ValueError, match="eta must be a 6-vector"):
+        flow.sharp_quadratic_form(np.eye(6), np.zeros(4))
+    with pytest.raises(ValueError, match="eta has non-finite entries"):
+        flow.sharp_quadratic_form(np.eye(6), np.full(6, np.nan))
+
+
 def test_sharp_is_equivariant(rng):
     r = _bianchi(2)
     for _ in range(5):

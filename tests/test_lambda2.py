@@ -21,7 +21,7 @@ def _unit_quat(rng):
 
 @given(vec4, vec4, vec4, vec4)
 def test_wedge_inner_is_the_gram_determinant(u, v, x, y):
-    lhs = l2.inner(l2.wedge(u, v), l2.wedge(x, y))
+    lhs = l2.wedge(u, v) @ l2.wedge(x, y)
     rhs = (u @ x) * (v @ y) - (u @ y) * (v @ x)
     assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(rhs))
 
@@ -64,16 +64,16 @@ def test_projectors_split_the_identity_orthogonally():
     np.testing.assert_allclose(l2.P_PLUS @ l2.P_MINUS, np.zeros((6, 6)), atol=1e-15)
 
 
+def _basis(sign):
+    # the three orthonormal basis bivectors of the +-1 Hodge eigenspace
+    return (l2.PLUS_BASIS if sign == "+" else l2.MINUS_BASIS).T
+
+
 @pytest.mark.parametrize("sign,val", [("+", 1.0), ("-", -1.0)])
 def test_selfdual_bases_are_orthonormal_star_eigenvectors(sign, val):
-    cols = np.column_stack(l2.selfdual_basis(sign))
+    cols = _basis(sign).T
     np.testing.assert_allclose(cols.T @ cols, np.eye(3), atol=1e-15)
     np.testing.assert_allclose(l2.HODGE_STAR @ cols, val * cols, atol=1e-15)
-
-
-def test_selfdual_basis_rejects_bad_sign():
-    with pytest.raises(ValueError, match="sign"):
-        l2.selfdual_basis("plus")
 
 
 def test_star_of_a_decomposable_is_the_complementary_plane():
@@ -138,21 +138,41 @@ def test_bracket_of_disjoint_planes_vanishes():
 @pytest.mark.parametrize("sign,factor", [("+", np.sqrt(2.0)), ("-", -np.sqrt(2.0))])
 def test_selfdual_structure_constants(sign, factor):
     # The two factors carry opposite orientations: [w1, w2] = +-sqrt2 w3.
-    w = l2.selfdual_basis(sign)
+    w = _basis(sign)
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
         np.testing.assert_allclose(l2.bracket(w[i], w[j]), factor * w[k], atol=1e-15)
 
 
 def test_mixed_selfdual_brackets_vanish():
-    wp = l2.selfdual_basis("+")
-    wm = l2.selfdual_basis("-")
+    wp = _basis("+")
+    wm = _basis("-")
     worst = max(np.abs(l2.bracket(a, b)).max() for a in wp for b in wm)
     assert worst == 0.0
 
 
+def test_stacked_bracket_is_each_pair_alone_bit_for_bit(rng):
+    a, b = rng.standard_normal((2, 7, 6))
+    got = l2._bracket(a[:, None], b[None])
+    assert got.shape == (7, 7, 6)
+    for i in range(7):
+        np.testing.assert_array_equal(l2._so4(a)[i], l2.to_so4(a[i]))
+        for j in range(7):
+            np.testing.assert_array_equal(got[i, j], l2.bracket(a[i], b[j]))
+
+
+def test_bracket_validates_each_operand_by_name():
+    with pytest.raises(ValueError, match="a must be a 6-vector"):
+        l2.bracket(np.zeros(4), np.zeros(6))
+    with pytest.raises(ValueError, match="b has non-finite entries"):
+        l2.bracket(np.zeros(6), np.full(6, np.inf))
+
+
 def test_ad_tensor_matches_bracket():
     eye = np.eye(6)
+    for a in range(6):
+        for j in range(6):
+            np.testing.assert_array_equal(l2.AD[a][:, j], l2.bracket(eye[a], eye[j]))
     rng = np.random.default_rng(1)
     for _ in range(10):
         x = rng.standard_normal(6)

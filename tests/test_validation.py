@@ -33,7 +33,6 @@ ONE_VALIDATION = {
     "membership": lambda r: cones.membership(r),
     "cone_margin": lambda r: cones.cone_margin(r, "ic"),
     "pic_margin": lambda r: cones.pic_margin(r, "-"),
-    "inradius": lambda r: cones.inradius(r + 3.0 * np.eye(6), "ic_plus"),
     "shift_to_margin": lambda r: cones.shift_to_margin(r, "ic_minus", 0.1),
     "decompose": lambda r: cv.decompose(r),
     "exact_projection": lambda r: ga.exact_projection(r, "right"),
@@ -62,7 +61,6 @@ def test_star_trace_bound_matches_the_defect_route(norm, factor, valid):
     r = r0 + (factor * bound / 3.0) * l2.HODGE_STAR
     reference = cv.bianchi_defect(r) <= cv.BIANCHI_TOL * (1.0 + np.linalg.norm(r))
     assert reference == valid
-    assert cv.is_bianchi_valid(r) == valid
     if valid:
         np.testing.assert_array_equal(cv.require_bianchi_valid(r), r)
     else:
