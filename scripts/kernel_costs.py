@@ -6,33 +6,59 @@ calls, each measured by process_time and by the minor page faults that
 resource.getrusage counts for the process.  A process that has already
 freed a large mapping has raised glibc's dynamic mmap threshold, which hides
 the faults of later large temporaries, so the kernels never share one.
+With --rounds N every kernel runs in N such processes, the kernels in
+forward order in even rounds and in reverse order in odd ones, so a drift
+of the host's speed over the run does not fall on one end of the list.
 
-    PYTHONPATH=src python3 scripts/kernel_costs.py [--calls N] [--warmup N]
+    PYTHONPATH=src python3 scripts/kernel_costs.py [--calls N] [--warmup N] [--rounds N]
 
 prints one CSV row per kernel: name (quoted where it holds a comma), the
-median, first and third quartile of the CPU ms per call, and the minor page
-faults per call.  Each unpolished row is the call of the same sign without
-the polish, so the difference is the polish's cost per call and the
-unpolished row is the sampler's cost plus one frame.  The quadratic rows
-are Q on upper-triangle coordinates, the kernel that each RK4 stage calls
-once, and the rk4_step row is one step of a stack of eight trajectories.
+median over rounds of each round's median, first and third quartile of the
+CPU ms per call, the least and the largest round median, and the median
+over rounds of the minor page faults per call.  Each unpolished row is the
+call of the same sign without the polish, so the difference is the polish's
+cost per call and the unpolished row is the sampler's cost plus one frame.
+The polish row times cones._polish_quaternion alone, call by call from the
+next of POLISH_STARTS fixed starts, each the best of 4096 samples for a
+unit-norm operator, the signs alternating; its histogram of steps and stop
+reasons over every timed call goes to stderr after the table.  The
+quadratic rows are Q on upper-triangle coordinates, the kernel that each
+RK4 stage calls once, and the rk4_step row is one step of a stack of eight
+trajectories.
 The two margin rows show the fixed and the per-operator cost of the margin
 kernel that the flow record calls once per block.
 """
 
 import argparse
 import csv
+import itertools
 import json
 import os
 import resource
+import statistics
 import subprocess
 import sys
+from collections import Counter
 from time import process_time
 
 import numpy as np
 
 import halfpic
 from halfpic import cones, curvature, flow, group_actions
+
+
+POLISH_ROW = "polish(4096)"
+POLISH_STARTS = 8
+
+
+def _polish_starts(rng):
+    # (R, C, q) of each fixed polish start: q is the best of 4096 samples
+    starts = []
+    for k in range(POLISH_STARTS):
+        r = curvature.random_bianchi(rng, norm=1.0)
+        kf = cones._quartic_form(r, "+-"[k % 2])
+        starts.append((r, cones._quartic_tensor(kf), cones._best_sample(kf, 4096, k)[0]))
+    return starts
 
 
 def _kernels():
@@ -43,11 +69,13 @@ def _kernels():
     h = float(flow.default_dt(stack[:8]).min())
     out = np.empty_like(coords)
     ten_steps = flow.FlowParams(t_max=1e-2, dt=1e-3)
+    starts = itertools.cycle(_polish_starts(rng))
     return {
         "min_isotropic(4096)": lambda: cones.min_isotropic(r, "+", samples=4096, seed=0),
         "min_isotropic(4096,-)": lambda: cones.min_isotropic(r, "-", samples=4096, seed=0),
         "min_isotropic(4096,unpolished)": lambda: cones.min_isotropic(r, "+", samples=4096, seed=0, polish=False),
         "min_isotropic(4096,-,unpolished)": lambda: cones.min_isotropic(r, "-", samples=4096, seed=0, polish=False),
+        POLISH_ROW: lambda: cones._polish_quaternion(*next(starts)),
         "average(5e4)": lambda: group_actions.average(r, "left", n=50_000, seed=0),
         "invariance_probe(n=8)": lambda: flow.invariance_probe("ic_plus", n=8, seed=0),
         "integrate(10 steps)": lambda: flow.integrate(r, ten_steps),
@@ -61,29 +89,41 @@ def _kernels():
 
 def measure(name, calls, warmup):
     """CPU ms quartiles and minor faults per call of one kernel, in this
-    process."""
+    process; for the polish row also the count of each "steps stop" outcome
+    of the timed calls."""
     kernel = _kernels()[name]
     for _ in range(warmup):
         kernel()
-    times = []
+    times, outcomes = [], Counter()
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(calls):
         start = process_time()
-        kernel()
+        out = kernel()
         times.append(process_time() - start)
+        if name == POLISH_ROW:
+            outcomes[f"{out[2]} {out[3]}"] += 1
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     p25, p50, p75 = 1e3 * np.percentile(times, [25, 50, 75])
-    return {"cpu_ms_p50": p50, "cpu_ms_p25": p25, "cpu_ms_p75": p75, "faults_per_call": faults / calls}
+    return {"cpu_ms_p50": p50, "cpu_ms_p25": p25, "cpu_ms_p75": p75,
+            "faults_per_call": faults / calls, "outcomes": dict(outcomes)}
+
+
+def _histogram(outcomes):
+    # "2 gradient: 40, 3 no_descent: 10", fewest steps first
+    items = sorted(outcomes.items(), key=lambda kv: (int(kv[0].split()[0]), kv[0]))
+    return ", ".join(f"{k}: {n}" for k, n in items)
 
 
 def main(argv=None):
+    names = list(_kernels())
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--calls", type=int, default=50, help="timed calls per kernel")
     ap.add_argument("--warmup", type=int, default=5, help="untimed calls first")
-    ap.add_argument("--child", choices=list(_kernels()), help=argparse.SUPPRESS)
+    ap.add_argument("--rounds", type=int, default=1, help="fresh processes per kernel")
+    ap.add_argument("--child", choices=names, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    if args.calls < 1 or args.warmup < 0:
-        ap.error("--calls must be positive and --warmup nonnegative")
+    if args.calls < 1 or args.warmup < 0 or args.rounds < 1:
+        ap.error("--calls and --rounds must be positive and --warmup nonnegative")
     if args.child:
         print(json.dumps(measure(args.child, args.calls, args.warmup)))
         return 0
@@ -91,15 +131,24 @@ def main(argv=None):
     # the child imports the same halfpic as this process
     src = os.path.dirname(os.path.dirname(os.path.abspath(halfpic.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    rounds = {name: [] for name in names}
+    for k in range(args.rounds):
+        for name in names if k % 2 == 0 else names[::-1]:
+            cmd = [sys.executable, os.path.abspath(__file__), "--child", name,
+                   "--calls", str(args.calls), "--warmup", str(args.warmup)]
+            proc = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
+            rounds[name].append(json.loads(proc.stdout))
     out = csv.writer(sys.stdout, lineterminator="\n")
-    out.writerow(["kernel", "cpu_ms_p50", "cpu_ms_p25", "cpu_ms_p75", "minor_faults_per_call"])
-    for name in _kernels():
-        cmd = [sys.executable, os.path.abspath(__file__), "--child", name,
-               "--calls", str(args.calls), "--warmup", str(args.warmup)]
-        proc = subprocess.run(cmd, env=env, capture_output=True, text=True, check=True)
-        res = json.loads(proc.stdout)
-        ms = [f"{res[key]:.4f}" for key in ("cpu_ms_p50", "cpu_ms_p25", "cpu_ms_p75")]
-        out.writerow([name, *ms, f"{res['faults_per_call']:.1f}"])
+    out.writerow(["kernel", "cpu_ms_p50", "cpu_ms_p25", "cpu_ms_p75",
+                  "round_p50_min", "round_p50_max", "minor_faults_per_call"])
+    for name, res in rounds.items():
+        med = {key: statistics.median(r[key] for r in res)
+               for key in ("cpu_ms_p50", "cpu_ms_p25", "cpu_ms_p75", "faults_per_call")}
+        p50s = [r["cpu_ms_p50"] for r in res]
+        ms = [f"{v:.4f}" for v in (med["cpu_ms_p50"], med["cpu_ms_p25"], med["cpu_ms_p75"], min(p50s), max(p50s))]
+        out.writerow([name, *ms, f"{med['faults_per_call']:.1f}"])
+    total = sum((Counter(r["outcomes"]) for r in rounds[POLISH_ROW]), Counter())
+    sys.stderr.write(f"# {POLISH_ROW} steps and stop over {total.total()} calls: {_histogram(total)}\n")
     return 0
 
 

@@ -201,13 +201,21 @@ def _sample_values(k, q):
 
 # The monomial of each ordered pair (a, b) and the weight that spreads it
 # over the pair and its mirror: m_P = sum over the pairs (a, b) of P of
-# w_ab q_a q_b, with w_ab = 1 on the diagonal and 1/2 off it;
-# _PAIR_WEIGHTS[a, b, c, d] = w_ab w_cd.
+# w_ab q_a q_b, with w_ab = 1 on the diagonal and 1/2 off it.  D[a, b, c, d]
+# = K[P(a, b), P(c, d)] w_ab w_cd is gathered from the flat K at once in the
+# three slot orders (a, b, c, d), (a, c, b, d) and (a, d, b, c), as rows of
+# _QUARTIC_INDEX and _QUARTIC_WEIGHTS.
 _PAIR_MONOMIAL = np.zeros((4, 4), dtype=int)
 _PAIR_MONOMIAL[lambda2._MONO_A, lambda2._MONO_B] = np.arange(10)
 _PAIR_MONOMIAL[lambda2._MONO_B, lambda2._MONO_A] = np.arange(10)
 _PAIR_WEIGHT = np.where(np.eye(4, dtype=bool), 1.0, 0.5)
-_PAIR_WEIGHTS = _PAIR_WEIGHT[:, :, None, None] * _PAIR_WEIGHT
+_SLOT_ORDERS = [(0, 1, 2, 3), (0, 2, 1, 3), (0, 2, 3, 1)]
+_QUARTIC_INDEX = np.stack([
+    (10 * _PAIR_MONOMIAL[:, :, None, None] + _PAIR_MONOMIAL).transpose(t).ravel() for t in _SLOT_ORDERS
+])
+_QUARTIC_WEIGHTS = np.stack([
+    (_PAIR_WEIGHT[:, :, None, None] * _PAIR_WEIGHT).transpose(t).ravel() for t in _SLOT_ORDERS
+])
 
 
 def _quartic_tensor(k):
@@ -215,9 +223,8 @@ def _quartic_tensor(k):
     # K spread over the ordered pairs of each monomial, then averaged over
     # the three ways of pairing four slots.  Returned as (16, 16), the
     # slot pairs (a, b) and (c, d) flattened.
-    d = k[_PAIR_MONOMIAL[:, :, None, None], _PAIR_MONOMIAL] * _PAIR_WEIGHTS
-    c = (d + d.transpose(0, 2, 1, 3) + d.transpose(0, 2, 3, 1)) / 3.0
-    return c.reshape(16, 16)
+    d = k.ravel()[_QUARTIC_INDEX] * _QUARTIC_WEIGHTS
+    return ((d[0] + d[1] + d[2]) / 3.0).reshape(16, 16)
 
 
 def _tensor_values(c, q):
@@ -230,13 +237,35 @@ def _tensor_values(c, q):
 
 def _sphere_derivatives(h, q, fval):
     # Gradient and Riemannian Hessian of f = C(q, q, q, q) on the unit
-    # sphere at q, along the tangent directions q j and q k (columns 2, 3 of
-    # the left multiplication by q): the Euclidean gradient is 4 H q and the
-    # Hessian 12 H, less the curvature term 4 f I.  The third direction q i
+    # sphere at q, along the tangent directions q j and q k, the columns E
+    # of the left multiplication by q past q and q i, all from one product
+    # H E: the gradient is 4 q^T H E and, as E^T E = I, the Hessian is
+    # 12 E^T H E less the curvature term 4 f I.  The third direction q i
     # turns u and v inside their own plane and leaves f unchanged.
-    e = lambda2._left_mul(q)[:, 2:]
-    h = h.reshape(4, 4)
-    return 4.0 * (e.T @ (h @ q)), e.T @ (12.0 * h - 4.0 * fval * np.eye(4)) @ e, e
+    # Returns the gradient (g1, g2) and the Hessian [[a, b], [b, d]] as five
+    # floats, b from its lower triangle, and E.
+    left = lambda2._left_mul(q)
+    e = left[:, 2:]
+    (g1, g2), _, (a, _), (b, d) = (left.T @ (h.reshape(4, 4) @ e)).tolist()
+    return (4.0 * g1, 4.0 * g2, 12.0 * a - 4.0 * fval, 12.0 * b, 12.0 * d - 4.0 * fval), e
+
+
+def _newton_step(g1, g2, a, b, d, tol):
+    # The saddle-free Newton step -|Hess|^-1 g for the 2x2 Hessian
+    # [[a, b], [b, d]], in closed form: its eigenvalues (a + d)/2 +- the
+    # hypot of (a - d)/2 and b, the top one's eigenvector at the angle
+    # atan2(2b, a - d)/2 (0 at a tie, where any basis is an eigenbasis),
+    # each |eigenvalue| floored at tol.  The step is cut to norm 1.  Every
+    # operation scales exactly under powers of two, so the step does not
+    # change when g, the Hessian and tol are scaled together.
+    mid, rad = 0.5 * (a + d), math.hypot(0.5 * (a - d), b)
+    angle = 0.5 * math.atan2(2.0 * b, a - d)
+    c, s = math.cos(angle), math.sin(angle)
+    top = (c * g1 + s * g2) / max(abs(mid + rad), tol)
+    low = (c * g2 - s * g1) / max(abs(mid - rad), tol)
+    d1, d2 = s * low - c * top, -s * top - c * low
+    cut = max(1.0, math.hypot(d1, d2))
+    return d1 / cut, d2 / cut
 
 
 def _best_sample(k, samples, seed):
@@ -293,31 +322,31 @@ _LINE_STEPS = 0.5 ** np.arange(4)
 
 def _polish_quaternion(r, c, q):
     # Saddle-free Newton descent of f = C(q, q, q, q) on the unit sphere:
-    # each step solves with |H|, the 2x2 Riemannian Hessian with its
-    # eigenvalues made positive, is cut to norm 1, and is searched at the
-    # _LINE_STEPS lengths at once, each trial normalized back to the sphere
-    # and all scored through C in one contraction.  The gradient stop and
-    # the Hessian floor scale with |R| + |f|, both norms taken by the
-    # scale-safe curvature._norm, so the result does not depend on the
-    # operator's scale, and the zero operator stops at once.
+    # each step is _newton_step on the 2x2 Riemannian Hessian, searched at
+    # the _LINE_STEPS lengths at once, each trial normalized back to the
+    # sphere and all scored through C in one contraction.  The gradient stop
+    # and the Hessian floor scale with |R| + |f|, |R| taken by the
+    # scale-safe curvature._norm and |g| by math.hypot, so the result does
+    # not depend on the operator's scale, and the zero operator stops at
+    # once.
     # Returns the quaternion, its value f, the number of steps taken and why
     # the descent stopped: "gradient", "no_descent" or "cap".
     scale = float(_norm(r))
     h, f = _tensor_values(c, q[None])
     h, fval = h[0], float(f[0])
     for step in range(POLISH_STEPS):
-        grad, hess, e = _sphere_derivatives(h, q, fval)
+        (g1, g2, a, b, d), e = _sphere_derivatives(h, q, fval)
         tol = 1e-11 * (scale + abs(fval))
-        if float(_norm(grad)) <= tol:
+        if math.hypot(g1, g2) <= tol:
             return q, fval, step, "gradient"
-        lam, vec = np.linalg.eigh(hess)
-        d = -vec @ ((vec.T @ grad) / np.maximum(np.abs(lam), tol))
-        d /= max(1.0, float(np.linalg.norm(d)))
-        trials = lambda2._unit_rows(q + _LINE_STEPS[:, None] * (e @ d))
+        d1, d2 = _newton_step(g1, g2, a, b, d, tol)
+        trials = lambda2._unit_rows(q + _LINE_STEPS[:, None] * (e @ (d1, d2)))
         hs, vals = _tensor_values(c, trials)
-        passed = np.flatnonzero(vals < fval + 1e-4 * _LINE_STEPS * float(grad @ d))
-        if not passed.size:
+        slope = 1e-4 * (g1 * d1 + g2 * d2)
+        for j, (v, t) in enumerate(zip(vals.tolist(), _LINE_STEPS.tolist())):
+            if v < fval + slope * t:
+                break
+        else:
             return q, fval, step, "no_descent"
-        j = passed[0]
-        q, h, fval = trials[j], hs[j], float(vals[j])
+        q, h, fval = trials[j], hs[j], v
     return q, fval, POLISH_STEPS, "cap"

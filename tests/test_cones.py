@@ -277,7 +277,8 @@ def test_frame_derivatives_match_central_differences(rng):
         q, idle = l2.haar_quaternions(rng, 2)
         for sign in ("+", "-"):
             _, h, f = _sphere_state(r, sign, q)
-            grad, hess, _ = cones._sphere_derivatives(h, q, f)
+            (g1, g2, a, b, d), _ = cones._sphere_derivatives(h, q, f)
+            grad, hess = [g1, g2], [[a, b], [b, d]]
             obj = lambda t: _objective_along(r, sign, q, idle, [0.0, *(step * t)])
             fd_grad = [(obj(e[i]) - obj(-e[i])) / (2.0 * step) for i in range(2)]
             fd_hess = [
@@ -307,8 +308,17 @@ def test_the_first_eigenspace_direction_leaves_the_objective_unchanged(rng):
                 assert abs(_objective_along(r, sign, q, idle, [t, 0.0, 0.0]) - f0) <= tol
 
 
+def _reference_quartic_tensor(k):
+    # Reference route for cones._quartic_tensor: K spread as a (4, 4, 4, 4)
+    # array and averaged over the three slot pairings by transposes
+    w = cones._PAIR_WEIGHT
+    d = k[cones._PAIR_MONOMIAL[:, :, None, None], cones._PAIR_MONOMIAL] * (w[:, :, None, None] * w)
+    return ((d + d.transpose(0, 2, 1, 3) + d.transpose(0, 2, 3, 1)) / 3.0).reshape(16, 16)
+
+
 def test_quartic_tensor_equals_the_quartic_form(rng):
-    # C is symmetric in its four slots and C(q, q, q, q) = m(q)^T K m(q)
+    # C is symmetric in its four slots and C(q, q, q, q) = m(q)^T K m(q);
+    # the gathered C is bit for bit the transposed reference
     q = l2.haar_quaternions(rng, 64)
     perms = [(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2), (3, 1, 2, 0)]
     for k, norm in enumerate([1.0, 1e6, 1e-3]):
@@ -317,6 +327,7 @@ def test_quartic_tensor_equals_the_quartic_form(rng):
         for sign in ("+", "-"):
             kf = cones._quartic_form(r, sign)
             c = cones._quartic_tensor(kf)
+            assert np.array_equal(c, _reference_quartic_tensor(kf))
             c4 = c.reshape(4, 4, 4, 4)
             for p in perms:
                 np.testing.assert_allclose(c4.transpose(p), c4, rtol=0, atol=tol)
@@ -540,13 +551,19 @@ def _iso_frames_pool(n):
     return pool
 
 
-def test_polish_reports_its_stop_and_never_reaches_the_cap():
+def _polish_starts():
+    # (r, sign, C, moving, idle, seed) of the polish's stress operators and
+    # the iso_frames pool, each from its best of 4096 samples
     stress = [(r, sign) for r in _tie_operators() + _kernel_operators() for sign in "+-"]
     stress.append((_SLOW_MINUS, "-"))
     for k, (r, sign) in enumerate(stress + _iso_frames_pool(64)):
         kf = cones._quartic_form(r, sign)
         moving, idle = cones._best_sample(kf, 4096, k)
-        c = cones._quartic_tensor(kf)
+        yield r, sign, cones._quartic_tensor(kf), moving, idle, k
+
+
+def test_polish_reports_its_stop_and_never_reaches_the_cap():
+    for r, sign, c, moving, idle, seed in _polish_starts():
         f0 = float(cones._tensor_values(c, moving[None])[1][0])
         q, fval, steps, stop = cones._polish_quaternion(r, c, moving)
         assert stop in ("gradient", "no_descent")
@@ -554,7 +571,99 @@ def test_polish_reports_its_stop_and_never_reaches_the_cap():
         assert fval <= f0
         frame = cones._frame(sign, q, idle)
         got = float(cones._pair_values(r, frame, cones._FLIPS[sign])[0])
-        assert got == cones.min_isotropic(r, sign, samples=4096, seed=k)
+        assert got == cones.min_isotropic(r, sign, samples=4096, seed=seed)
+
+
+def _reference_newton_step(grad, hess, tol):
+    # Reference route for cones._newton_step: the saddle-free step through
+    # LAPACK's eigh, -V |L|^-1 V^T g with each |eigenvalue| floored at tol,
+    # cut to norm 1.
+    lam, vec = np.linalg.eigh(hess)
+    d = -vec @ ((vec.T @ grad) / np.maximum(np.abs(lam), tol))
+    return d / max(1.0, float(np.linalg.norm(d)))
+
+
+def _reference_polish(r, c, q):
+    # Reference route for cones._polish_quaternion: the same descent with the
+    # derivatives from the full 4x4 Hessian 12 H - 4 f I projected on the
+    # tangent basis E, and each step from _reference_newton_step.
+    scale = float(cv._norm(r))
+    h, f = cones._tensor_values(c, q[None])
+    h, fval = h[0], float(f[0])
+    for step in range(cones.POLISH_STEPS):
+        e = l2._left_mul(q)[:, 2:]
+        hm = h.reshape(4, 4)
+        grad = 4.0 * (e.T @ (hm @ q))
+        hess = e.T @ (12.0 * hm - 4.0 * fval * np.eye(4)) @ e
+        tol = 1e-11 * (scale + abs(fval))
+        if float(cv._norm(grad)) <= tol:
+            return q, fval, step, "gradient"
+        d = _reference_newton_step(grad, hess, tol)
+        trials = l2._unit_rows(q + cones._LINE_STEPS[:, None] * (e @ d))
+        hs, vals = cones._tensor_values(c, trials)
+        passed = np.flatnonzero(vals < fval + 1e-4 * cones._LINE_STEPS * float(grad @ d))
+        if not passed.size:
+            return q, fval, step, "no_descent"
+        j = passed[0]
+        q, h, fval = trials[j], hs[j], float(vals[j])
+    return q, fval, cones.POLISH_STEPS, "cap"
+
+
+def _rotated_hessian(rng, lam):
+    # [a, b, d] of the symmetric 2x2 matrix with eigenvalues lam in a random basis
+    t = rng.uniform(0.0, np.pi)
+    v = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+    m = v @ np.diag(lam) @ v.T
+    return [m[0, 0], m[1, 0], m[1, 1]]
+
+
+def _newton_step_cases():
+    # (g, [a, b, d], tol): random symmetric Hessians, diagonal ones (b = 0,
+    # either sign of zero), ties a = d with b = 0 (zero radius) and b != 0,
+    # indefinite ones, and ones with both |eigenvalues| below tol; gradients
+    # large enough for the norm-1 cut and small enough to miss it
+    rng = np.random.default_rng(19)
+    tol = 1e-11
+    cases = []
+    for k in range(120):
+        g = rng.standard_normal(2) * 10.0 ** rng.uniform(-4.0, 1.0)
+        a, b, d = rng.standard_normal(3)
+        x, y = rng.uniform(0.1, 3.0, 2)
+        cases += [
+            (g, [a, b, d], tol),
+            (g, [a, (0.0, -0.0)[k % 2], d], tol),
+            (g, [a, 0.0, a], tol),
+            (g, [a, b, a], tol),
+            (g, _rotated_hessian(rng, [x, -y]), tol),
+            (g, _rotated_hessian(rng, [x, -x]), tol),
+            (g, _rotated_hessian(rng, rng.uniform(-1.0, 1.0, 2) * tol), tol),
+            (g, [0.0, 0.0, 0.0], tol),
+        ]
+    return cases
+
+
+def test_newton_step_is_the_eigh_step():
+    # the closed form agrees with eigh to rounding, which the conditioning
+    # |lambda|_max / max(|lambda|_min, tol) of the floored Hessian amplifies,
+    # on every case and on its 2^k-scaled copies, and it scales exactly
+    for g, (a, b, d), tol in _newton_step_cases():
+        new = cones._newton_step(*g, a, b, d, tol)
+        lam = np.abs(np.linalg.eigvalsh([[a, b], [b, d]]))
+        cond = max(lam.max(), tol) / max(lam.min(), tol)
+        for k in (-300, -60, -3, 0, 5, 60, 300):
+            gk, (ak, bk, dk), tk = np.ldexp(g, k), np.ldexp([a, b, d], k), np.ldexp(tol, k)
+            assert cones._newton_step(*gk, ak, bk, dk, tk) == new, (g, a, b, d, k)
+            want = _reference_newton_step(gk, np.array([[ak, bk], [bk, dk]]), tk)
+            assert np.abs(np.subtract(new, want)).max() <= 1e-15 * cond, (g, a, b, d, k)
+
+
+def test_polish_matches_the_eigh_reference_route():
+    for r, sign, c, moving, _, _ in _polish_starts():
+        _, fval, steps, stop = cones._polish_quaternion(r, c, moving)
+        _, want, want_steps, _ = _reference_polish(r, c, moving)
+        assert stop in ("gradient", "no_descent")
+        assert abs(steps - want_steps) <= 1
+        assert abs(fval - want) <= 1e-14 * (1.0 + np.linalg.norm(r))
 
 
 def test_min_isotropic_polish_never_hurts():

@@ -3,6 +3,7 @@
 import csv
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -36,21 +37,94 @@ def test_averaging_decay_runs(capsys):
     assert [line.split(",")[0] for line in lines[1:]] == ["200", "800"]
 
 
+KERNEL_COSTS_HEADER = ("kernel,cpu_ms_p50,cpu_ms_p25,cpu_ms_p75,round_p50_min,round_p50_max,"
+                       "minor_faults_per_call")
+
+
+def _kernel_cost_rows(lines):
+    rows = list(csv.reader(lines[1:]))
+    for _, p50, p25, p75, low, high, faults in rows:
+        assert 0.0 < float(p25) <= float(p50) <= float(p75)
+        assert 0.0 < float(low) <= float(p50) <= float(high)
+        assert float(faults) >= 0.0
+    return rows
+
+
 def test_kernel_costs_runs(capsys):
     code = _load("kernel_costs").main(["--calls", "2", "--warmup", "1"])
-    lines = capsys.readouterr().out.splitlines()
+    out = capsys.readouterr()
+    lines = out.out.splitlines()
     assert code == 0
-    assert lines[0] == "kernel,cpu_ms_p50,cpu_ms_p25,cpu_ms_p75,minor_faults_per_call"
-    rows = list(csv.reader(lines[1:]))
-    assert [row[0] for row in rows] == [
+    assert lines[0] == KERNEL_COSTS_HEADER
+    assert [row[0] for row in _kernel_cost_rows(lines)] == [
         "min_isotropic(4096)", "min_isotropic(4096,-)", "min_isotropic(4096,unpolished)",
-        "min_isotropic(4096,-,unpolished)", "average(5e4)", "invariance_probe(n=8)",
+        "min_isotropic(4096,-,unpolished)", "polish(4096)", "average(5e4)", "invariance_probe(n=8)",
         "integrate(10 steps)", "quadratic(8 operators)", "quadratic(1 operator)",
         "rk4_step(8 operators)", "margins(1 operator)", "margins(32 operators)",
     ]
-    for _, p50, p25, p75, faults in rows:
-        assert 0.0 < float(p25) <= float(p50) <= float(p75)
-        assert float(faults) >= 0.0
+    assert out.err.startswith("# polish(4096) steps and stop over 2 calls: ")
+
+
+def test_kernel_costs_rounds_alternate_and_take_the_median_of_round_medians(capsys, monkeypatch):
+    # each child's reply is faked: in round k every kernel reads a median of
+    # k + 1 ms, and the polish row two steps to the gradient stop, 3 calls
+    module = _load("kernel_costs")
+    order = []
+
+    def child(cmd, **kwargs):
+        name = cmd[cmd.index("--child") + 1]
+        order.append(name)
+        k = order.count(name) - 1
+        res = {"cpu_ms_p50": k + 1.0, "cpu_ms_p25": k + 0.5, "cpu_ms_p75": k + 1.5,
+               "faults_per_call": 2.0 * k, "outcomes": {"2 gradient": 3}}
+        return subprocess.CompletedProcess(cmd, 0, stdout=json.dumps(res))
+
+    monkeypatch.setattr(module.subprocess, "run", child)
+    assert module.main(["--rounds", "3"]) == 0
+    names = list(module._kernels())
+    assert order == names + names[::-1] + names
+    out = capsys.readouterr()
+    lines = out.out.splitlines()
+    assert lines[0] == KERNEL_COSTS_HEADER
+    rows = _kernel_cost_rows(lines)
+    assert [row[0] for row in rows] == names
+    assert all(row[1:] == ["2.0000", "1.5000", "2.5000", "1.0000", "3.0000", "2.0"] for row in rows)
+    assert out.err == "# polish(4096) steps and stop over 9 calls: 2 gradient: 9\n"
+
+
+def _in_git_work_tree():
+    try:
+        proc = subprocess.run(["git", "-C", str(SCRIPTS.parent), "rev-parse", "--is-inside-work-tree"],
+                              capture_output=True, text=True)
+    except OSError:
+        return False
+    return proc.returncode == 0 and proc.stdout.strip() == "true"
+
+
+@pytest.mark.skipif(not _in_git_work_tree(), reason="needs a git work tree")
+def test_ab_bench_writes_its_schema(tmp_path):
+    out = tmp_path / "ab.json"
+    args = ["HEAD", "--workloads", "cli_ops", "--pairs", "1", "--seconds", "0.1", "--out", str(out)]
+    assert _load("ab_bench").main(args) == 0
+    doc = json.loads(out.read_text())
+    assert set(doc) == {"command", "parent", "change", "host", "pairs", "seconds", "order",
+                        "summary", "runs", "aa"}
+    assert len(doc["parent"]) == 40 and doc["pairs"] == 1
+    spec = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    names = [m["name"] for m in spec]
+    summary = doc["summary"]["cli_ops"]
+    assert list(summary) == names
+    for m in spec:
+        row = summary[m["name"]]
+        assert set(row) == {"unit", "better", "parent_median", "parent_q1_q3", "change_median",
+                            "change_q1_q3", "change_wins", "pairs", "aa_rel_diff"}
+        assert (row["unit"], row["better"], row["pairs"]) == (m["unit"], m["better"], 1)
+        assert row["change_wins"] in (0, 1) and len(row["parent_q1_q3"]) == 2
+    (run,) = doc["runs"]["cli_ops"]
+    assert run["first"] == "parent"
+    for side in (run["parent"], run["change"], doc["aa"]["cli_ops"]["parent_again"]):
+        assert side["correct"] and side["failed"] == 0
+        assert set(names) <= set(side)
 
 
 def test_golden_outputs_are_reproducible(tmp_path):
