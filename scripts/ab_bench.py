@@ -19,15 +19,20 @@ The JSON written to --out (stdout by default) has a fixed schema:
     command, parent, change, host, pairs, seconds, order,
     summary: {workload: {metric: {unit, better, parent_median,
         parent_q1_q3, change_median, change_q1_q3, change_wins, pairs,
-        aa_rel_diff}}},
+        hl_shift, sign_test_p, aa_rel_diff}}},
     runs: {workload: [{seed, first, parent, change}]},
     aa: {workload: {seed, parent, parent_again}}
 
 Each side of a run holds correct, attempted, failed and one value per
 end-to-end metric of BENCHMARK.json.  change_wins counts the pairs where the
 change is strictly better in the metric's direction; quartiles are numpy's
-linear-interpolation percentiles 25 and 75; aa_rel_diff is
-(parent_again - parent) / parent of the A/A pair.
+linear-interpolation percentiles 25 and 75.  hl_shift is the Hodges-Lehmann
+shift of the pairs: the median of the Walsh averages (d_i + d_j) / 2, i <= j,
+of the per-pair differences d = change - parent, in the metric's unit.
+sign_test_p is the two-sided binomial sign test of those differences: the
+chance that a fair coin splits the untied pairs at least as unevenly, 1.0
+when every pair ties.  aa_rel_diff is (parent_again - parent) / parent of
+the A/A pair.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import platform
 import shutil
@@ -79,11 +85,26 @@ def _bench_once(tree, workload, seed, seconds, metrics):
     return out
 
 
+def _hl_shift(d):
+    """Median of the Walsh averages (d_i + d_j) / 2, i <= j."""
+    i, j = np.triu_indices(len(d))
+    d = np.asarray(d, dtype=float)
+    return float(np.median((d[i] + d[j]) / 2.0))
+
+
+def _sign_test_p(d):
+    """Two-sided binomial sign test of the nonzero differences."""
+    n = sum(x != 0 for x in d)
+    k = min(sum(x > 0 for x in d), sum(x < 0 for x in d))
+    return min(1.0, 2.0 * sum(math.comb(n, i) for i in range(k + 1)) / 2.0 ** n)
+
+
 def _summary(runs, aa, spec):
     out = {}
     for m in spec:
         parent = [run["parent"][m["name"]] for run in runs]
         change = [run["change"][m["name"]] for run in runs]
+        diff = [c - p for p, c in zip(parent, change)]
         sign = 1.0 if m["better"] == "higher" else -1.0
         first, again = aa["parent"][m["name"]], aa["parent_again"][m["name"]]
         out[m["name"]] = {
@@ -93,8 +114,10 @@ def _summary(runs, aa, spec):
             "parent_q1_q3": np.percentile(parent, [25, 75]).tolist(),
             "change_median": float(np.median(change)),
             "change_q1_q3": np.percentile(change, [25, 75]).tolist(),
-            "change_wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
+            "change_wins": sum(sign * x > 0 for x in diff),
             "pairs": len(runs),
+            "hl_shift": _hl_shift(diff),
+            "sign_test_p": _sign_test_p(diff),
             "aa_rel_diff": (again - first) / first if first else 0.0,
         }
     return out

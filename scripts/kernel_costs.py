@@ -39,6 +39,7 @@ import statistics
 import subprocess
 import sys
 from collections import Counter
+from functools import partial
 from time import process_time
 
 import numpy as np
@@ -61,29 +62,56 @@ def _polish_starts(rng):
     return starts
 
 
-def _kernels():
+def _operators():
+    # r and a stack of 32 operators, the first draws of default_rng(0), and
+    # the generator after them, from which the polish starts are drawn
     rng = np.random.default_rng(0)
     r = curvature.random_bianchi(rng, norm=1.0)
     stack = np.stack([curvature.random_bianchi(rng, norm=1.0) for _ in range(32)])
-    coords = flow._coords(stack[:8])
-    h = float(flow.default_dt(stack[:8]).min())
+    return r, stack, rng
+
+
+def _r():
+    return _operators()[0]
+
+
+def _coords8():
+    # upper-triangle coordinates of the stack's first eight operators
+    return flow._coords(_operators()[1][:8])
+
+
+def _polish():
+    starts = itertools.cycle(_polish_starts(_operators()[2]))
+    return lambda: cones._polish_quaternion(*next(starts))
+
+
+def _rk4_step():
+    eight = _operators()[1][:8]
+    coords = flow._coords(eight)
+    h = float(flow.default_dt(eight).min())
     out = np.empty_like(coords)
-    ten_steps = flow.FlowParams(t_max=1e-2, dt=1e-3)
-    starts = itertools.cycle(_polish_starts(rng))
+    return lambda: flow._rk4_step(coords, h, 0.5 * h, h / 6.0, out)
+
+
+def _kernels():
+    """name -> zero-argument builder of that kernel's inputs, which returns
+    the kernel as a zero-argument call, so a process builds only the inputs
+    of the kernel it runs."""
+    mi = cones.min_isotropic
     return {
-        "min_isotropic(4096)": lambda: cones.min_isotropic(r, "+", samples=4096, seed=0),
-        "min_isotropic(4096,-)": lambda: cones.min_isotropic(r, "-", samples=4096, seed=0),
-        "min_isotropic(4096,unpolished)": lambda: cones.min_isotropic(r, "+", samples=4096, seed=0, polish=False),
-        "min_isotropic(4096,-,unpolished)": lambda: cones.min_isotropic(r, "-", samples=4096, seed=0, polish=False),
-        POLISH_ROW: lambda: cones._polish_quaternion(*next(starts)),
-        "average(5e4)": lambda: group_actions.average(r, "left", n=50_000, seed=0),
-        "invariance_probe(n=8)": lambda: flow.invariance_probe("ic_plus", n=8, seed=0),
-        "integrate(10 steps)": lambda: flow.integrate(r, ten_steps),
-        "quadratic(8 operators)": lambda: flow._quadratic(coords, flow._Q_TABLE),
-        "quadratic(1 operator)": lambda: flow._quadratic(coords[:1], flow._Q_TABLE),
-        "rk4_step(8 operators)": lambda: flow._rk4_step(coords, h, 0.5 * h, h / 6.0, out),
-        "margins(1 operator)": lambda: cones._margins(r[None]),
-        "margins(32 operators)": lambda: cones._margins(stack),
+        "min_isotropic(4096)": lambda: partial(mi, _r(), "+", samples=4096, seed=0),
+        "min_isotropic(4096,-)": lambda: partial(mi, _r(), "-", samples=4096, seed=0),
+        "min_isotropic(4096,unpolished)": lambda: partial(mi, _r(), "+", samples=4096, seed=0, polish=False),
+        "min_isotropic(4096,-,unpolished)": lambda: partial(mi, _r(), "-", samples=4096, seed=0, polish=False),
+        POLISH_ROW: _polish,
+        "average(5e4)": lambda: partial(group_actions.average, _r(), "left", n=50_000, seed=0),
+        "invariance_probe(n=8)": lambda: partial(flow.invariance_probe, "ic_plus", n=8, seed=0),
+        "integrate(10 steps)": lambda: partial(flow.integrate, _r(), flow.FlowParams(t_max=1e-2, dt=1e-3)),
+        "quadratic(8 operators)": lambda: partial(flow._quadratic, _coords8(), flow._Q_TABLE),
+        "quadratic(1 operator)": lambda: partial(flow._quadratic, _coords8()[:1], flow._Q_TABLE),
+        "rk4_step(8 operators)": _rk4_step,
+        "margins(1 operator)": lambda: partial(cones._margins, _r()[None]),
+        "margins(32 operators)": lambda: partial(cones._margins, _operators()[1]),
     }
 
 
@@ -91,7 +119,7 @@ def measure(name, calls, warmup):
     """CPU ms quartiles and minor faults per call of one kernel, in this
     process; for the polish row also the count of each "steps stop" outcome
     of the timed calls."""
-    kernel = _kernels()[name]
+    kernel = _kernels()[name]()
     for _ in range(warmup):
         kernel()
     times, outcomes = [], Counter()

@@ -82,10 +82,14 @@ def cone_margin(r, cone):
 
 
 def shift_to_margin(r, cone, target):
-    """Shift along the identity so the chosen cone margin equals target."""
+    """Shift along the identity so the chosen cone margin equals target,
+    which must be finite."""
     _check_cone(cone)
+    target = float(target)
+    if not math.isfinite(target):
+        raise ValueError(f"target must be finite, got {target!r}")
     r = require_bianchi_valid(r)
-    t = (float(target) - float(_margins(r)[cone])) / MARGIN_SLOPE[cone]
+    t = (target - float(_margins(r)[cone])) / MARGIN_SLOPE[cone]
     return r + t * np.eye(6)
 
 

@@ -10,10 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cones, curvature, lambda2
-from .curvature import act, assemble, decompose, require_bianchi_valid, scalar
+from .curvature import assemble, decompose, require_bianchi_valid, scalar
 from .lambda2 import PLUS_BASIS
 
-LIFT_INPUT_TOL = 1e-10
 LIFT_RESIDUAL_TOL = 1e-9
 EIGENVALUE_TIE_TOL = 1e-10
 
@@ -101,36 +100,6 @@ def group_average(r, factor="left"):
     return _moment_average(r, [BINARY_TETRAHEDRAL], factor)
 
 
-def lift_selfdual_rotation(rho):
-    """SO(4) element inducing a given rotation of the self-dual forms while
-    fixing every anti-self-dual form.
-
-    Extracts the half-angle quaternion of rho, refines it against the induced
-    action, and maps it through the quaternion factor frozen in lambda2.  The
-    quaternion representative with nonnegative first coordinate is used.
-    """
-    rho = np.asarray(rho, dtype=float)
-    if rho.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 rotation, got shape {rho.shape}")
-    if np.abs(rho.T @ rho - np.eye(3)).max() > LIFT_INPUT_TOL:
-        raise ValueError("input is not orthogonal within tolerance")
-    if abs(np.linalg.det(rho) - 1.0) > LIFT_INPUT_TOL:
-        raise ValueError("input is orientation reversing, not a rotation")
-    q = lambda2.rot3_to_quat(rho)
-    for _ in range(3):
-        resid = rho @ lambda2.rot3_of_quat(q).T
-        if np.abs(resid - np.eye(3)).max() <= 1e-14:
-            break
-        q = lambda2.quat_mul(lambda2.rot3_to_quat(resid), q)
-        q = q / np.linalg.norm(q)
-    q = lambda2._canonical_quat_sign(q)
-    g = lambda2.s3_plus(q)
-    induced_plus = PLUS_BASIS.T @ lambda2.induced_map(g) @ PLUS_BASIS
-    if np.abs(induced_plus - rho).max() > LIFT_RESIDUAL_TOL:
-        raise ValueError("lift residual above tolerance after refinement")
-    return g
-
-
 @dataclass
 class WitnessResult:
     """Boundary witness produced by maximality_witness."""
@@ -155,13 +124,13 @@ def maximality_witness(r):
     Project R to its scalar plus self-dual Weyl part E, require positive
     scalar curvature and a two-positivity margin of the self-dual block of E
     below -cones.default_boundary_tol(E), the band membership uses.  Rotating
-    the eigenframe of that block a quarter turn about its top eigenvector,
-    lifted to SO(4) through lift_selfdual_rotation, and averaging E with its
-    pullback doubles up the lowest eigenvalue; shifting by its absolute value
-    kappa lands exactly on the boundary pattern of the Kaehler model:
-    self-dual block spectrum (s/4, 0, 0) and anti-self-dual block (s/12) I
-    for the resulting scalar curvature s.  scale is s/12, the ratio to the
-    unit sphere-normalized model.
+    the eigenframe of that block a quarter turn about its top eigenvector v,
+    realized in SO(4) as left multiplication by the quaternion (1 + v)/sqrt2,
+    and averaging E with its pullback doubles up the lowest eigenvalue;
+    shifting by its absolute value kappa lands exactly on the boundary
+    pattern of the Kaehler model: self-dual block spectrum (s/4, 0, 0) and
+    anti-self-dual block (s/12) I for the resulting scalar curvature s.
+    scale is s/12, the ratio to the unit sphere-normalized model.
 
     When the two lowest eigenvalues already tie within tolerance the rotation
     is skipped and g is the identity.
@@ -185,10 +154,16 @@ def maximality_witness(r):
         g = np.eye(4)
         averaged = e
     else:
+        # The quarter turn about v3 = vecs[:, 2] has the quaternion
+        # (1 + v3)/sqrt2, and x -> qx rotates the self-dual forms by it while
+        # fixing every anti-self-dual one (lambda2.s3_plus).
+        g = lambda2._left_mul(np.sqrt(0.5) * np.concatenate(([1.0], vecs[:, 2])))
+        m = lambda2._induced_map_batch(g[None])[0]
         quarter = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         rho = vecs @ quarter @ vecs.T
-        g = lift_selfdual_rotation(rho)
-        averaged = 0.5 * (e + act(g, e))
+        if np.abs(PLUS_BASIS.T @ m @ PLUS_BASIS - rho).max() > LIFT_RESIDUAL_TOL:
+            raise ValueError("quarter turn residual above tolerance")
+        averaged = 0.5 * (e + m.T @ e @ m)
     kappa = -(mu[0] + mu[1]) / 2.0
     witness = averaged + kappa * np.eye(6)
     return WitnessResult(

@@ -343,49 +343,3 @@ def rot3_of_quat(q):
             [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
         ]
     )
-
-
-def rot3_to_quat(r):
-    """Unit quaternion with q v q^(-1) = r v, first coordinate nonnegative.
-
-    Shepperd-style branch selection keeps the extraction well conditioned for
-    every rotation angle.
-    """
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {r.shape}")
-    t = np.trace(r)
-    candidates = [t, r[0, 0], r[1, 1], r[2, 2]]
-    best = int(np.argmax(candidates))
-    if best == 0:
-        s = np.sqrt(max(1.0 + t, 0.0)) * 2.0
-        q = np.array(
-            [0.25 * s, (r[2, 1] - r[1, 2]) / s, (r[0, 2] - r[2, 0]) / s, (r[1, 0] - r[0, 1]) / s]
-        )
-    elif best == 1:
-        s = np.sqrt(max(1.0 + r[0, 0] - r[1, 1] - r[2, 2], 0.0)) * 2.0
-        q = np.array(
-            [(r[2, 1] - r[1, 2]) / s, 0.25 * s, (r[0, 1] + r[1, 0]) / s, (r[0, 2] + r[2, 0]) / s]
-        )
-    elif best == 2:
-        s = np.sqrt(max(1.0 - r[0, 0] + r[1, 1] - r[2, 2], 0.0)) * 2.0
-        q = np.array(
-            [(r[0, 2] - r[2, 0]) / s, (r[0, 1] + r[1, 0]) / s, 0.25 * s, (r[1, 2] + r[2, 1]) / s]
-        )
-    else:
-        s = np.sqrt(max(1.0 - r[0, 0] - r[1, 1] + r[2, 2], 0.0)) * 2.0
-        q = np.array(
-            [(r[1, 0] - r[0, 1]) / s, (r[0, 2] + r[2, 0]) / s, (r[1, 2] + r[2, 1]) / s, 0.25 * s]
-        )
-    q = q / np.linalg.norm(q)
-    return _canonical_quat_sign(q)
-
-
-def _canonical_quat_sign(q):
-    if q[0] < 0.0:
-        return -q
-    if q[0] == 0.0:
-        for c in q[1:]:
-            if c != 0.0:
-                return q if c > 0.0 else -q
-    return q

@@ -2,6 +2,7 @@
 the isotropic minimum, checked against the eigenvalue margin."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -98,6 +99,14 @@ def test_shift_to_margin_is_exact(cone, target):
     assert cones.cone_margin(np.eye(6), cone) / slope == pytest.approx(1.0, abs=1e-12)
     t = cones.cone_margin(shifted, cone) / slope
     assert cones.cone_margin(shifted - t * np.eye(6), cone) == pytest.approx(0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+def test_shift_to_margin_rejects_a_nonfinite_target(target):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="target must be finite"):
+            cones.shift_to_margin(_bianchi(4, norm=2.0), "ic_plus", target)
 
 
 def _kernel_operators():

@@ -1,4 +1,4 @@
-"""Factor averaging, lifting self-dual rotations, and the boundary witness."""
+"""Factor averaging and the boundary witness."""
 
 import tracemalloc
 
@@ -222,52 +222,6 @@ def test_average_rejects_bad_n():
         ga.average(np.eye(6), n=0)
 
 
-# -- lifting -------------------------------------------------------------------
-
-
-def test_lift_reproduces_the_selfdual_rotation(rng):
-    for _ in range(20):
-        q = l2.haar_quaternion(rng)
-        rho = l2.rot3_of_quat(q)
-        g = ga.lift_selfdual_rotation(rho)
-        induced = l2.induced_map(g)
-        np.testing.assert_allclose(
-            l2.PLUS_BASIS.T @ induced @ l2.PLUS_BASIS, rho, atol=1e-12
-        )
-        np.testing.assert_allclose(
-            l2.MINUS_BASIS.T @ induced @ l2.MINUS_BASIS, np.eye(3), atol=1e-12
-        )
-
-
-def test_lift_of_a_quarter_turn():
-    # the rotation the boundary witness needs: v1 -> v2, v2 -> -v1, v3 fixed
-    rho = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    g = ga.lift_selfdual_rotation(rho)
-    blocks = l2.PLUS_BASIS.T @ l2.induced_map(g) @ l2.PLUS_BASIS
-    np.testing.assert_allclose(blocks, rho, atol=1e-12)
-
-
-def test_lift_of_the_identity():
-    np.testing.assert_allclose(ga.lift_selfdual_rotation(np.eye(3)), np.eye(4), atol=0)
-
-
-def test_lift_input_validation():
-    with pytest.raises(ValueError, match="3x3"):
-        ga.lift_selfdual_rotation(np.eye(4))
-    with pytest.raises(ValueError, match="not orthogonal"):
-        ga.lift_selfdual_rotation(np.eye(3) * 1.5)
-    with pytest.raises(ValueError, match="orientation reversing"):
-        ga.lift_selfdual_rotation(np.diag([1.0, 1.0, -1.0]))
-
-
-def test_lift_handles_half_turns():
-    rho = np.diag([-1.0, -1.0, 1.0])
-    g = ga.lift_selfdual_rotation(rho)
-    np.testing.assert_allclose(
-        l2.PLUS_BASIS.T @ l2.induced_map(g) @ l2.PLUS_BASIS, rho, atol=1e-12
-    )
-
-
 # -- witness -------------------------------------------------------------------
 
 
@@ -284,19 +238,24 @@ def test_witness_hand_instance_is_exact():
     )
 
 
-def test_witness_pattern_on_random_admissible_operators():
-    made = 0
+def _admissible_operators(count=15):
+    # unit-norm operators with scal > 0.1 whose projected self-dual block
+    # has mu1 + mu2 < -0.01, the first count of them by seed
+    made = []
     seed = 0
-    while made < 15:
+    while len(made) < count:
         r = _bianchi(seed, norm=1.0)
         seed += 1
-        d = cv.decompose(r)
-        if d.scal <= 0.1:
+        if cv.decompose(r).scal <= 0.1:
             continue
         mu = np.linalg.eigvalsh(cv.plus_block(ga.exact_projection(r, "left")))
-        if mu[0] + mu[1] >= -0.01:
-            continue
-        made += 1
+        if mu[0] + mu[1] < -0.01:
+            made.append(r)
+    return made
+
+
+def test_witness_pattern_on_random_admissible_operators():
+    for r in _admissible_operators():
         res = ga.maximality_witness(r)
         s = cv.scalar(res.witness)
         assert s > 0.0
@@ -309,6 +268,36 @@ def test_witness_pattern_on_random_admissible_operators():
         # the witness sits exactly on the plus-cone boundary
         assert cones.pic_margin(res.witness, "+") == pytest.approx(0.0, abs=1e-10)
         l2.check_rotation(res.g)
+
+
+def test_witness_turns_the_selfdual_forms_a_quarter_about_the_top_eigenvector():
+    # g rotates the self-dual forms of the projected block's eigenframe
+    # v1 -> v2, v2 -> -v1, v3 fixed, and fixes every anti-self-dual form
+    quarter = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    for r in _admissible_operators():
+        g = ga.maximality_witness(r).g
+        _, vecs = np.linalg.eigh(cv.plus_block(ga.exact_projection(r, "left")))
+        if np.linalg.det(vecs) < 0.0:
+            vecs[:, 2] = -vecs[:, 2]
+        m = l2.induced_map(g)
+        np.testing.assert_allclose(
+            l2.PLUS_BASIS.T @ m @ l2.PLUS_BASIS, vecs @ quarter @ vecs.T, rtol=0, atol=1e-12
+        )
+        np.testing.assert_allclose(
+            l2.MINUS_BASIS.T @ m @ l2.MINUS_BASIS, np.eye(3), rtol=0, atol=1e-12
+        )
+        assert np.linalg.det(g) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", [-20, -5, 7, 50, 200, 300])
+def test_witness_is_exactly_homogeneous_under_powers_of_two(k):
+    # scaling by 2^k changes no eigenvector and scales every eigenvalue and
+    # sum exactly, so g keeps its bits and the witness scales bit for bit
+    for r in _admissible_operators():
+        res = ga.maximality_witness(r)
+        scaled = ga.maximality_witness(np.ldexp(r, k))
+        np.testing.assert_array_equal(scaled.g, res.g)
+        np.testing.assert_array_equal(scaled.witness, np.ldexp(res.witness, k))
 
 
 def test_witness_rejects_nonpositive_scalar():

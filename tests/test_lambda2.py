@@ -366,31 +366,3 @@ def test_right_multiplication_fixes_selfdual_pointwise(rng):
         )
         block = l2.MINUS_BASIS.T @ m @ l2.MINUS_BASIS
         np.testing.assert_allclose(block.T @ block, np.eye(3), atol=1e-13)
-
-
-# -- SO(3) extraction ---------------------------------------------------------
-
-
-def test_rot3_roundtrip_generic(rng):
-    for _ in range(50):
-        q = l2.haar_quaternion(rng)
-        r = l2.rot3_of_quat(q)
-        np.testing.assert_allclose(r.T @ r, np.eye(3), atol=1e-14)
-        q2 = l2.rot3_to_quat(r)
-        np.testing.assert_allclose(l2.rot3_of_quat(q2), r, atol=1e-13)
-        assert q2[0] >= 0.0
-
-
-@pytest.mark.parametrize("axis", [0, 1, 2])
-def test_rot3_roundtrip_half_turns(axis):
-    # trace = -1 exercises the off-trace extraction branches
-    q = np.zeros(4)
-    q[axis + 1] = 1.0
-    r = l2.rot3_of_quat(q)
-    np.testing.assert_allclose(np.trace(r), -1.0, atol=1e-15)
-    np.testing.assert_allclose(l2.rot3_of_quat(l2.rot3_to_quat(r)), r, atol=1e-14)
-
-
-def test_rot3_to_quat_rejects_bad_shape():
-    with pytest.raises(ValueError, match="3x3"):
-        l2.rot3_to_quat(np.eye(4))

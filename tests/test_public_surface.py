@@ -22,6 +22,9 @@ ALLOWED = {
     "lambda2._bracket reads a commutator; test_lambda2::test_to_so4_roundtrip",
     "lambda2.bracket": "reference route for lambda2.AD and the stacked lambda2._bracket; "
     "test_lambda2::test_ad_tensor_matches_bracket",
+    "lambda2.rot3_of_quat": "reference route: the SO(3) matrix of v -> q v q^-1, the frozen "
+    "factor convention that the witness's closed-form quarter turn relies on; "
+    "test_lambda2::test_left_multiplication_rotates_selfdual_and_fixes_antiselfdual",
     "flow.sharp_quadratic_form": "reference route: the defining form of R# at one bivector; "
     "test_flow::test_sharp_quadratic_form_is_the_diagonal",
 }

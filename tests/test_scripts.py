@@ -114,17 +114,34 @@ def test_ab_bench_writes_its_schema(tmp_path):
     names = [m["name"] for m in spec]
     summary = doc["summary"]["cli_ops"]
     assert list(summary) == names
+    (run,) = doc["runs"]["cli_ops"]
     for m in spec:
         row = summary[m["name"]]
         assert set(row) == {"unit", "better", "parent_median", "parent_q1_q3", "change_median",
-                            "change_q1_q3", "change_wins", "pairs", "aa_rel_diff"}
+                            "change_q1_q3", "change_wins", "pairs", "hl_shift", "sign_test_p",
+                            "aa_rel_diff"}
         assert (row["unit"], row["better"], row["pairs"]) == (m["unit"], m["better"], 1)
         assert row["change_wins"] in (0, 1) and len(row["parent_q1_q3"]) == 2
-    (run,) = doc["runs"]["cli_ops"]
+        # one pair: its difference is the shift, and a single pair has p = 1
+        assert row["hl_shift"] == pytest.approx(run["change"][m["name"]] - run["parent"][m["name"]])
+        assert row["sign_test_p"] == 1.0
     assert run["first"] == "parent"
     for side in (run["parent"], run["change"], doc["aa"]["cli_ops"]["parent_again"]):
         assert side["correct"] and side["failed"] == 0
         assert set(names) <= set(side)
+
+
+def test_ab_bench_shift_and_sign_test():
+    ab = _load("ab_bench")
+    # Walsh averages of (1, 2, 10): 1, 1.5, 2, 5.5, 6, 10, median 3.75
+    assert ab._hl_shift([1.0, 2.0, 10.0]) == 3.75
+    assert ab._hl_shift([-1.0]) == -1.0
+    # 5 of 5 untied pairs one way: p = 2 / 32; ties drop out
+    assert ab._sign_test_p([1.0, 2.0, 0.0, 3.0, 4.0, 5.0]) == 2.0 / 32.0
+    # 4 up, 1 down: p = 2 (1 + 5) / 32
+    assert ab._sign_test_p([1.0, -2.0, 3.0, 4.0, 5.0]) == 12.0 / 32.0
+    assert ab._sign_test_p([0.0, 0.0]) == 1.0
+    assert ab._sign_test_p([1.0, -1.0]) == 1.0
 
 
 def test_golden_outputs_are_reproducible(tmp_path):
