@@ -24,7 +24,7 @@ unit-norm operator, the signs alternating; its histogram of steps and stop
 reasons over every timed call goes to stderr after the table.  The
 quadratic rows are Q on upper-triangle coordinates, the kernel that each
 RK4 stage calls once, and the rk4_step row is one step of a stack of eight
-trajectories.
+trajectories, with per-row step factors as the flow core passes them.
 The two margin rows show the fixed and the per-operator cost of the margin
 kernel that the flow record calls once per block.
 """
@@ -88,7 +88,7 @@ def _polish():
 def _rk4_step():
     eight = _operators()[1][:8]
     coords = flow._coords(eight)
-    h = float(flow.default_dt(eight).min())
+    h = np.full((8, 1), flow.default_dt(eight).min())
     out = np.empty_like(coords)
     return lambda: flow._rk4_step(coords, h, 0.5 * h, h / 6.0, out)
 

@@ -212,18 +212,28 @@ def _suite_pic_equivalence(samples, seed):
 
 
 def _suite_invariance(samples, seed):
-    results = []
     n = max(5, samples // 40)
-    for cone in cones.CONE_IDS:
-        rep = flow.invariance_probe(cone, n=n, seed=seed)
-        ok = rep.min_margin_normalized >= -1e-6
-        results.append(
-            (f"probe {cone} (n={n})", ok, f"min normalized margin {rep.min_margin_normalized:.3e}")
-        )
-    i6 = np.eye(6)
-    traj = flow.integrate(i6, flow.FlowParams(t_max=0.1, dt=1e-4))
-    err = np.abs(traj.operators[-1] - i6 / 0.7).max()
-    results.append(("identity flow matches 1/(1-3t)", err <= 1e-8, f"error {err:.3e}"))
+
+    def probe(cone):
+        m = flow.invariance_probe(cone, n=n, seed=seed).min_margin_normalized
+        return m >= -1e-6, f"min normalized margin {m:.3e}"
+
+    def identity():
+        i6 = np.eye(6)
+        traj = flow.integrate(i6, flow.FlowParams(t_max=0.1, dt=1e-4))
+        err = np.abs(traj.operators[-1] - i6 / 0.7).max()
+        return err <= 1e-8, f"error {err:.3e}"
+
+    checks = [(f"probe {cone} (n={n})", functools.partial(probe, cone)) for cone in cones.CONE_IDS]
+    checks.append(("identity flow matches 1/(1-3t)", identity))
+    results = []
+    for name, check in checks:
+        # a flow that raises mid-run (Bianchi drift, say) fails its own check
+        try:
+            ok, detail = check()
+        except RuntimeError as e:
+            ok, detail = False, f"error: {e}"
+        results.append((name, ok, detail))
     return results
 
 

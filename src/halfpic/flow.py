@@ -213,69 +213,65 @@ _fast_margins = cones._margins
 # trace(R HODGE_STAR) as one dot per flattened operator
 _STAR_FLAT = lambda2.HODGE_STAR.T.ravel()
 
-# Operator-steps held in one record block: a block of a stack of m running
-# trajectories spans max(1, RECORD_ROWS // m) steps.
+# Operator-steps held in one record block: a block of m running trajectories
+# spans max(1, RECORD_ROWS // m) steps, or fewer, up to the first one's end.
 RECORD_ROWS = 32
 
+_ENDINGS = ("completed", "margin_violation", "blowup")
 
-def _record(block, idx, params, sample):
+
+def _record(block, idx, last, params, sample):
     """Check and sample one block of the running trajectories in one pass.
 
     block holds their coordinates after each of s consecutive steps, shape
-    (s, m, 21), and idx their positions in the stack; the block is expanded
-    to 6x6 operators once.  A trajectory's samples are kept up to and
-    including its first stop in the block, blowup or a tracked margin under
-    the floor; sample(idx, r, m, nrm) gets the kept ones in step order, so
-    its idx may repeat a trajectory.  Raises if a kept sample has drifted off
-    the Bianchi subspace (drift 3|star component| = |trace(R HODGE_STAR)|/2),
-    naming the first in step order.  Returns the mask of the trajectories
-    that stopped in the block and the mask of those whose stop is a blowup.
+    (s, m, 21), idx their positions in the stack and last the slot of each
+    one's last step; the block is expanded to 6x6 operators once.  One stop
+    mask holds every way a trajectory ends: its last step, blowup, a tracked
+    margin under the floor, and an overflow to a non-finite state, which
+    ends it as a blowup.  A trajectory's samples are kept up to and
+    including its first stop, but a non-finite state is zeroed for the
+    margin kernel and not kept; sample(idx, r, m, nrm) gets the kept ones in
+    step order, so its idx may repeat a trajectory.  Raises if a kept sample
+    has drifted off the Bianchi subspace (drift 3|star component| =
+    |trace(R HODGE_STAR)|/2), naming the first in step order, or, under
+    normalization, has a nonpositive scalar curvature.  Returns the mask of
+    the trajectories that ended in the block and the ending code of each, an
+    index into _ENDINGS.
     """
     s, n = block.shape[:2]
+    lost = ~np.isfinite(block).all(axis=2)
     r = _expand(block.reshape(s * n, 21))
+    if lost.any():
+        r[lost.ravel()] = 0.0  # eigvalsh raises on NaN
     m = _fast_margins(r)
     flat = r.reshape(s * n, 36)
     nrm = np.sqrt(np.vecdot(flat, flat))
-    blowup = stop = nrm > params.blowup_norm
+    blowup = tripped = lost | (nrm > params.blowup_norm).reshape(s, n)
     if params.margin_floor is not None:
         for c in params.margin_cones:
-            stop = stop | (m[c] < params.margin_floor)
+            tripped = tripped | (m[c] < params.margin_floor).reshape(s, n)
+    slots = np.arange(s)[:, None]
+    stop = tripped | (slots == last)
+    ended = stop.any(axis=0)
+    cols = np.arange(n)
+    first = np.where(ended, stop.argmax(axis=0), s - 1)
+    code = np.where(blowup[first, cols], 2, tripped[first, cols])
+    keep = ((slots <= first) & ~lost).ravel()
     rows = np.concatenate([idx] * s)
-    stop, blowup = stop.reshape(s, n), blowup.reshape(s, n)
-    if np.count_nonzero(stop):
-        # a trajectory's samples end at its first stop
-        first = np.where(stop.any(axis=0), stop.argmax(axis=0), s - 1)
-        cols = np.arange(n)
-        stopped, blowup = stop[first, cols], blowup[first, cols]
-        if (first < s - 1).any():
-            keep = (np.arange(s)[:, None] <= first).ravel()
-            r, flat, nrm, rows = r[keep], flat[keep], nrm[keep], rows[keep]
-            m = {c: v[keep] for c, v in m.items()}
-    else:
-        stopped = blowup = stop[0]
+    if not keep.all():
+        r, flat, nrm, rows = r[keep], flat[keep], nrm[keep], rows[keep]
+        m = {c: v[keep] for c, v in m.items()}
     star_trace = flat @ _STAR_FLAT
     over = np.abs(star_trace) > (2.0 * BIANCHI_DRIFT_TOL) * (1.0 + nrm)
     if np.count_nonzero(over):
         drift = 0.5 * abs(star_trace[over][0])
         raise RuntimeError(f"Bianchi drift {drift:.3e} exceeded tolerance mid-flow")
+    if params.normalize and (np.trace(r, axis1=1, axis2=2) <= 0.0).any():
+        raise RuntimeError("scalar curvature became nonpositive under normalization")
+    # only what sample gets and what _record returns stay alive while it runs
+    del lost, blowup, tripped, stop, first, cols, slots, keep, star_trace, over
     sample(rows, r, m, nrm)
-    return stopped, blowup
-
-
-def _overflowed(y):
-    """Mask of the coordinate rows with a non-finite entry, None when there
-    is none."""
-    if math.isfinite(np.vdot(y, y)):
-        return None
-    lost = ~np.isfinite(y).all(axis=1)
-    return lost if lost.any() else None
-
-
-def _step_factors(dt):
-    """h, h/2 and h/6 for the running trajectories: scalars when they share
-    one step, (m, 1) columns otherwise."""
-    h = dt[0] if (dt == dt[0]).all() else dt[:, None]
-    return h, 0.5 * h, h / 6.0
+    return ended, code
 
 
 def _step_counts(t_max, dt):
@@ -319,17 +315,18 @@ def _rk4(r, params, sample):
     Each trajectory has its own fixed step (default_dt unless params.dt is
     set) and step count, ends at t_max with a partial last step where the
     step does not divide it, and stops on its own.  The running states are
-    the upper-triangle coordinates of the operators.  They are recorded in
-    blocks of up to RECORD_ROWS operator-steps that end where the step
-    schedule changes: each step writes into its block slot, and _record
-    checks and samples the block in one pass.  sample(idx, r, m, nrm) gets
-    the operators, margins and norms of the kept samples of one block in
-    step order, idx their positions in the stack: the t=0 sample first, then
-    every step up to each trajectory's stop.  A step that overflows to a
-    non-finite operator, or under normalization turns a scalar curvature
-    nonpositive, ends the block before it and is then settled on its own:
-    an overflowing trajectory ends as a blowup and is not sampled.  Returns
-    the termination and the step of each trajectory.
+    the upper-triangle coordinates of the operators.  Each step writes them
+    into its slot of a record block, with each row's own factors for that
+    slot (its step or its partial last step); a block spans up to
+    RECORD_ROWS operator-steps and ends at the first trajectory's last step
+    at most, and _record checks and samples it in one pass and ends the
+    trajectories that stop in it.  Under normalization each row whose scalar
+    curvature is positive is rescaled to its initial one after every step;
+    _record raises on a kept sample that is not.  sample(idx, r, m, nrm)
+    gets the operators, margins and norms of the kept samples of one block
+    in step order, idx their positions in the stack: the t=0 sample first,
+    then every step up to each trajectory's stop.  Returns the termination
+    and the step of each trajectory.
     """
     if not isinstance(params, FlowParams):
         raise TypeError("params must be a FlowParams")
@@ -351,7 +348,7 @@ def _rk4(r, params, sample):
     y = _coords(r)
     del r  # only the coordinates run, so a probe's seed stack is freed here
     if params.normalize:
-        scal0 = 2.0 * y[:, _DIAG].sum(axis=1)
+        scal0 = 2.0 * y[:, _DIAG].sum(axis=1, keepdims=True)
         if (scal0 <= 0.0).any():
             raise ValueError("normalization requires positive initial scalar curvature")
 
@@ -359,66 +356,27 @@ def _rk4(r, params, sample):
     steps, tail = full + partial, params.t_max - full * dt
     terminations = ["completed"] * len(y)
     idx = np.arange(len(y))
-
-    def rescaled(y):
-        # under normalization, rescale y in place to the initial scalar
-        # curvatures; False, with y untouched, where one turned nonpositive
-        if params.normalize:
-            s_now = 2.0 * y[:, _DIAG].sum(axis=1)
-            if np.count_nonzero(s_now <= 0.0):
-                return False
-            y *= (scal0[idx] / s_now)[:, None]
-        return True
-
-    def settle(k, stopped, blowup):
-        # end the trajectories that stopped or completed at step k, and
-        # return the mask of the others
-        nonlocal idx
-        done = stopped | (steps[idx] == k)
-        for j in np.flatnonzero(done):
-            terminations[idx[j]] = (
-                "blowup" if blowup[j] else "margin_violation" if stopped[j] else "completed"
-            )
-        idx = idx[~done]
-        return ~done
-
-    _record(y[None], idx, params, sample)  # t=0: a one-step block, no stop
+    _record(y[None], idx, steps, params, sample)  # t=0 is slot 0; its stops are ignored
     k = 0
-    # an overflowing step is caught by _overflowed, not by a numpy warning
+    # an overflowing step ends its trajectory in _record, without a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         while len(idx):
-            # the step factors hold up to `last`, where a trajectory ends or
-            # turns to its partial step
-            f = full[idx]
-            h, half, sixth = _step_factors(np.where(f > k, dt[idx], tail[idx]))
-            last = int(np.where(f > k, f, steps[idx]).min())
-            block = np.empty((min(max(1, RECORD_ROWS // len(idx)), last - k), len(idx), 21))
-            clean = len(block)
-            for s in range(len(block)):
-                y = _rk4_step(y, h, half, sixth, block[s])
-                if _overflowed(y) is not None or not rescaled(y):
-                    clean = s
-                    break
-            alive = slice(None)
-            if clean:
-                k += clean
-                alive = settle(k, *_record(block[:clean], idx, params, sample))
-            if clean == len(block) or not len(idx):
-                y = block[-1][alive]
-                continue
-            # the step that cut the block, for the trajectories still running
-            y = block[clean][alive]
-            lost = _overflowed(y)
-            if lost is not None:
-                for j in np.flatnonzero(lost):
-                    terminations[idx[j]] = "blowup"
-                idx, y = idx[~lost], y[~lost]
-                if not len(idx):
-                    break
-            if not rescaled(y):
-                raise RuntimeError("scalar curvature became nonpositive under normalization")
-            k += 1
-            y = y[settle(k, *_record(y[None], idx, params, sample))]
+            last = steps[idx] - k - 1
+            slots = np.arange(min(max(1, RECORD_ROWS // len(idx)), last.min() + 1))
+            h = np.where(slots[:, None] < full[idx] - k, dt[idx], tail[idx])[:, :, None]
+            half, sixth = 0.5 * h, h / 6.0
+            block = np.empty((len(slots), len(idx), 21))
+            for s in range(len(slots)):
+                y = _rk4_step(y, h[s], half[s], sixth[s], block[s])
+                if params.normalize:
+                    scal = 2.0 * y[:, _DIAG].sum(axis=1, keepdims=True)
+                    y *= np.divide(scal0[idx], scal, out=np.ones_like(scal), where=scal > 0.0)
+            k += len(slots)
+            del h, half, sixth  # freed before _record samples
+            ended, code = _record(block, idx, last, params, sample)
+            for j in np.flatnonzero(ended):
+                terminations[idx[j]] = _ENDINGS[code[j]]
+            idx, y = idx[~ended], y[~ended]
     return terminations, dt
 
 

@@ -11,6 +11,7 @@ import pytest
 from halfpic import cli
 from halfpic import cones
 from halfpic import curvature as cv
+from halfpic import flow
 from halfpic import lambda2 as l2
 
 
@@ -212,6 +213,21 @@ def test_verify_failure_exits_two(capsys, monkeypatch):
     code, out, _ = _run(capsys, "verify", "--suite", "identities")
     assert code == 2
     assert "FAIL forced check" in out
+
+
+def test_a_flow_error_fails_its_invariance_check(capsys, monkeypatch):
+    # the planted field R^2 - R# leaves the Bianchi subspace: each probe
+    # raises mid-flow, and its check fails instead of ending the suite
+    monkeypatch.setattr(flow, "_Q_TABLE", flow._Q_TABLE - 2.0 * flow._SHARP_TABLE)
+    code, out, _ = _run(capsys, "verify", "--suite", "invariance", "--samples", "40")
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == 6
+    for cone, line in zip(cones.CONE_IDS, lines):
+        assert line.startswith(f"FAIL probe {cone} (n=5): error: Bianchi drift ")
+        assert line.endswith(" exceeded tolerance mid-flow")
+    assert lines[4].startswith("FAIL identity flow matches 1/(1-3t): error ")
+    assert lines[5] == "suite invariance: 0/5 checks passed"
 
 
 def test_verify_rejects_unknown_suite(capsys):

@@ -296,6 +296,12 @@ def test_a_non_finite_step_ends_as_blowup():
     for values in (traj.t, traj.scal, traj.norm, *traj.margins.values()):
         assert len(values) == len(traj)
         assert np.isfinite(values).all()
+    # the samples are a plain RK4's states up to the first non-finite one,
+    # which is not kept
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = _plain_rk4(_overflowing_seed(), _OVERFLOW_PARAMS.dt, _OVERFLOW_PARAMS.t_max)
+    lost = next(k for k, op in enumerate(states) if not np.isfinite(op).all())
+    assert [op.tolist() for op in traj.operators] == [op.tolist() for op in states[:lost]]
 
 
 def test_an_overflowing_trajectory_leaves_its_stack_mates_alone():
@@ -338,6 +344,26 @@ def test_trajectory_operators_are_independent_arrays():
     for a, b in zip(ops, ops[1:]):
         assert not np.shares_memory(a, b)
     np.testing.assert_array_equal(traj.operators[0], r0)
+
+
+def test_a_nonpositive_scalar_under_normalization_raises(monkeypatch):
+    # a stand-in vector field drives the scalar curvature negative from its
+    # ninth call on, in the third step
+    defect = flow._coords(-1e4 * np.eye(6))
+    quadratic, calls = flow._quadratic, []
+
+    def stand_in(y, table):
+        calls.append(len(y))
+        q = quadratic(y, table)
+        if len(calls) > 8:
+            q[0] += defect
+        return q
+
+    monkeypatch.setattr(flow, "_quadratic", stand_in)
+    with pytest.raises(
+        RuntimeError, match="scalar curvature became nonpositive under normalization"
+    ):
+        flow.integrate(cv.model("sphere"), flow.FlowParams(t_max=0.05, dt=1e-3, normalize=True))
 
 
 def test_mid_flow_bianchi_drift_is_detected(monkeypatch):
@@ -676,13 +702,30 @@ def _plain_rk4(r0, dt, t_max):
     return states
 
 
-def test_a_block_that_ends_at_a_partial_last_step():
-    # no step divides t_max, and the steps differ: each trajectory's partial
-    # step cuts the block of its mates
+def test_a_block_that_ends_at_a_partial_last_step(monkeypatch):
+    # no step divides t_max, and the steps differ: a block spans
+    # min(RECORD_ROWS // m, steps left to the first trajectory's end), each
+    # row with its own step factors per slot, so a trajectory that turns to
+    # its partial step does not end the block of its mates
     seeds = _probe_seeds("ic_plus", 5, 7)
     params = flow.FlowParams(t_max=0.0123)
+    record, blocks = flow._record, []
+
+    def spy(block, idx, *args):
+        blocks.append((len(block), idx.copy()))
+        return record(block, idx, *args)
+
+    monkeypatch.setattr(flow, "_record", spy)
     ends, log, _ = _logged_core(seeds, params)
+    monkeypatch.undo()
     assert ends == ["completed"] * 5
+    full, partial = flow._step_counts(params.t_max, flow.default_dt(np.stack(seeds)))
+    steps, k = full + partial, 0
+    assert partial.all() and len(set(full.tolist())) > 1
+    for size, idx in blocks[1:]:
+        assert size == min(flow.RECORD_ROWS // len(idx), steps[idx].min() - k)
+        k += size
+    assert k == steps.max()
     for i, r0 in enumerate(seeds):
         dt = float(flow.default_dt(r0))
         want = _plain_rk4(r0, dt, params.t_max)
