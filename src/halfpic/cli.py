@@ -175,7 +175,7 @@ def _suite_bianchi(samples, seed):
     d_star = curvature.bianchi_defect(lambda2.HODGE_STAR)
     results.append(("defect of the star is 3", abs(d_star - 3.0) <= 1e-15, f"value {d_star}"))
     worst = 0.0
-    for _ in range(samples // 2):
+    for _ in range(max(1, samples // 2)):
         r = curvature.random_bianchi(rng)
         worst = max(worst, np.abs(curvature.recompose(curvature.decompose(r)) - r).max())
     results.append(("decompose/recompose roundtrip", worst <= 1e-10, f"worst {worst:.3e}"))
@@ -191,7 +191,7 @@ def _suite_pic_equivalence(samples, seed):
     n_iso = min(samples, 50)
     for k in range(samples):
         r = curvature.random_bianchi(rng, norm=1.0)
-        mp = cones.pic_margin(r, "+")
+        mp = cones.cone_margin(r, "ic_plus")
         tp = cones.two_positive_margin(curvature.plus_block(r))
         if abs(mp) > band and np.sign(mp) != np.sign(tp):
             agree = False
@@ -206,7 +206,8 @@ def _suite_pic_equivalence(samples, seed):
     worst = 0.0
     for _ in range(min(samples, 200)):
         r = curvature.random_bianchi(rng)
-        worst = max(worst, abs(cones.pic_margin(curvature.act(refl, r), "+") - cones.pic_margin(r, "-")))
+        flipped = cones.cone_margin(curvature.act(refl, r), "ic_plus")
+        worst = max(worst, abs(flipped - cones.cone_margin(r, "ic_minus")))
     results.append(("orientation flip swaps the half cones", worst <= 1e-10, f"worst {worst:.3e}"))
     return results
 

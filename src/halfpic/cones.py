@@ -26,7 +26,6 @@ MARGIN_SLOPE = {"scal": 12.0, "ic_plus": 2.0, "ic_minus": 2.0, "ic": 2.0}
 def _check_sign(sign):
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    return sign
 
 
 def _check_samples(samples):
@@ -59,15 +58,10 @@ def _check_cone(cone):
         raise ValueError(f"unknown cone {cone!r}; choose from {CONE_IDS}")
 
 
-def pic_margin(r, sign="+"):
-    """Margin of the half-isotropic cone: scal/6 minus the top eigenvalue of
-    the chosen Weyl block.  Positive means strictly inside."""
-    return cone_margin(r, "ic_plus" if _check_sign(sign) == "+" else "ic_minus")
-
-
 def two_positive_margin(m):
     """Sum of the two lowest eigenvalues of a symmetric 3x3 form; reference
-    route for pic_margin, which it equals on the plus or minus block."""
+    route for the ic_plus and ic_minus cone margins, which it equals on the
+    plus or minus block."""
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {m.shape}")

@@ -334,8 +334,8 @@ def _rk4(r, params, sample):
         raise ValueError("t_max must be positive and finite")
     if params.dt is not None and not math.isfinite(params.dt):
         raise ValueError("dt must be finite")
-    if math.isnan(params.blowup_norm):
-        raise ValueError("blowup_norm must not be NaN")
+    if not params.blowup_norm > 0.0:
+        raise ValueError(f"blowup_norm must be positive, got {params.blowup_norm}")
     if params.margin_floor is not None and math.isnan(params.margin_floor):
         raise ValueError("margin_floor must not be NaN")
     dt = default_dt(r) if params.dt is None else np.full(len(r), params.dt, dtype=float)
@@ -452,26 +452,12 @@ class ProbeReport:
     cone: str
     n: int
     seed: int
-    boundary_fraction: float
     min_margin: float
     min_margin_normalized: float
     worst_index: int
     worst_seed: tuple
     trajectory_minima: np.ndarray = field(repr=False)
     terminations: dict = field(default_factory=dict)
-
-    def to_json(self):
-        return {
-            "cone": self.cone,
-            "n": self.n,
-            "seed": self.seed,
-            "boundary_fraction": self.boundary_fraction,
-            "min_margin": self.min_margin,
-            "min_margin_normalized": self.min_margin_normalized,
-            "worst_index": self.worst_index,
-            "worst_seed": list(self.worst_seed),
-            "terminations": dict(self.terminations),
-        }
 
 
 def _seed_stack(cone, n, seed, n_boundary, margin_low, margin_high):
@@ -503,8 +489,8 @@ def invariance_probe(
     Seeds are unit-norm Gaussian samples of the Bianchi space shifted along
     the identity to a prescribed start margin: a boundary_fraction of them
     sit at margin in [0, 1e-6], the rest uniformly in [margin_low,
-    margin_high].  Negative bounds are allowed on purpose so the harness can
-    demonstrate that escapes are detected.  Trajectory k is driven by the
+    margin_high].  Negative bounds are allowed on purpose so a test can
+    show that escapes are detected.  Trajectory k is driven by the
     substream (seed, k), so reports are reproducible per sample.  All n
     seeds run as one stacked integration, with the same numbers as n
     separate integrate calls; only running minima are kept.
@@ -536,7 +522,6 @@ def invariance_probe(
         cone=cone,
         n=n,
         seed=seed,
-        boundary_fraction=boundary_fraction,
         min_margin=float(minima.min()),
         min_margin_normalized=float(minima_norm.min()),
         worst_index=worst,

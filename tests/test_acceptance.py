@@ -192,7 +192,7 @@ def test_criterion_09_orientation_duality(announce):
         r = _bianchi(k)
         worst = max(
             worst,
-            abs(cones.pic_margin(cv.act(refl, r), "+") - cones.pic_margin(r, "-")),
+            abs(cones.cone_margin(cv.act(refl, r), "ic_plus") - cones.cone_margin(r, "ic_minus")),
         )
     announce(9, worst <= 1e-10, f"orientation flip swaps half cones (200 operators): worst {worst:.3e}")
 
@@ -209,7 +209,7 @@ def test_criterion_10_model_margins(announce):
         r = cv.model(name, scale)
         worst = max(
             worst,
-            abs(cones.pic_margin(r, "+") - want_p),
-            abs(cones.pic_margin(r, "-") - want_m),
+            abs(cones.cone_margin(r, "ic_plus") - want_p),
+            abs(cones.cone_margin(r, "ic_minus") - want_m),
         )
     announce(10, worst <= 1e-10, f"model space margin table: worst {worst:.3e}")

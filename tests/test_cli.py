@@ -177,6 +177,7 @@ def test_flow_rejects_non_finite_parameters(tmp_path, capsys, op_path):
         (("--t-max", "inf", "--dt", "1e-3"), "t_max"),
         (("--t-max", "0.01", "--dt", "nan"), "dt must be finite"),
         (("--t-max", "0.01", "--blowup-norm", "nan"), "blowup_norm"),
+        (("--t-max", "0.01", "--dt", "1e-3", "--blowup-norm", "-1"), "blowup_norm must be positive"),
         (("--t-max", "0.01", "--margin-floor", "nan"), "margin_floor"),
     ]
     for extra, needle in cases:
@@ -213,6 +214,15 @@ def test_verify_failure_exits_two(capsys, monkeypatch):
     code, out, _ = _run(capsys, "verify", "--suite", "identities")
     assert code == 2
     assert "FAIL forced check" in out
+
+
+def test_bianchi_roundtrip_checks_an_operator_at_one_sample(capsys, monkeypatch):
+    # a planted recompose that is off by one fails even when samples // 2 is 0
+    recompose = cv.recompose
+    monkeypatch.setattr(cv, "recompose", lambda parts: recompose(parts) + 1.0)
+    code, out, _ = _run(capsys, "verify", "--suite", "bianchi", "--samples", "1")
+    assert code == 2
+    assert "FAIL decompose/recompose roundtrip: worst 1.000e+00" in out
 
 
 def test_a_flow_error_fails_its_invariance_check(capsys, monkeypatch):
@@ -294,7 +304,7 @@ def test_witness_subcommand_round_trips(tmp_path, capsys):
     assert doc["kappa"] == pytest.approx(1.0, abs=1e-12)
     assert doc["scale"] == pytest.approx(4.0 / 3.0, abs=1e-12)
     w = cv.operator_from_json(doc["witness"])
-    assert cones.pic_margin(w, "+") == pytest.approx(0.0, abs=1e-10)
+    assert cones.cone_margin(w, "ic_plus") == pytest.approx(0.0, abs=1e-10)
 
 
 def test_witness_reports_inadmissible_input(capsys, op_path):

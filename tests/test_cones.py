@@ -42,15 +42,16 @@ def test_pic_margin_equals_block_two_positivity():
     # same quantity computed through decompose() and through the raw block
     for seed in range(20):
         r = _bianchi(seed)
-        for sign, block in (("+", cv.plus_block(r)), ("-", cv.minus_block(r))):
-            assert cones.pic_margin(r, sign) == pytest.approx(
+        for cone, block in (("ic_plus", cv.plus_block(r)), ("ic_minus", cv.minus_block(r))):
+            assert cones.cone_margin(r, cone) == pytest.approx(
                 cones.two_positive_margin(block), abs=1e-10
             )
 
 
 def test_pic_margin_rejects_bad_sign():
+    # the half-PIC minimum takes its half cone as "+" or "-"
     with pytest.raises(ValueError, match="sign"):
-        cones.pic_margin(np.eye(6), "plus")
+        cones.min_isotropic(np.eye(6), "plus")
 
 
 @pytest.mark.parametrize(
@@ -64,8 +65,8 @@ def test_pic_margin_rejects_bad_sign():
 )
 def test_model_margins(name, scale, want_plus, want_minus):
     r = cv.model(name, scale)
-    assert cones.pic_margin(r, "+") == pytest.approx(want_plus, abs=1e-12)
-    assert cones.pic_margin(r, "-") == pytest.approx(want_minus, abs=1e-12)
+    assert cones.cone_margin(r, "ic_plus") == pytest.approx(want_plus, abs=1e-12)
+    assert cones.cone_margin(r, "ic_minus") == pytest.approx(want_minus, abs=1e-12)
 
 
 def test_cone_margin_ic_is_the_min_of_the_halves():

@@ -266,7 +266,7 @@ def test_witness_pattern_on_random_admissible_operators():
         )
         assert res.scale == pytest.approx(s / 12.0, abs=1e-12)
         # the witness sits exactly on the plus-cone boundary
-        assert cones.pic_margin(res.witness, "+") == pytest.approx(0.0, abs=1e-10)
+        assert cones.cone_margin(res.witness, "ic_plus") == pytest.approx(0.0, abs=1e-10)
         l2.check_rotation(res.g)
 
 

@@ -1,4 +1,4 @@
-"""Smoke runs of the experiment scripts through their main(argv)."""
+"""Smoke runs of the scripts through their main(argv)."""
 
 import csv
 import importlib.util
@@ -19,24 +19,6 @@ def _load(name):
     return module
 
 
-@pytest.mark.parametrize("extra", [(), ("--invert",)])
-def test_probe_invariance_runs(capsys, extra):
-    code = _load("probe_invariance").main(["--n", "2", *extra])
-    out = capsys.readouterr().out
-    assert code == 0
-    reports = [json.loads(line) for line in out.splitlines()]
-    assert [rep["cone"] for rep in reports] == ["scal", "ic_plus", "ic_minus", "ic"]
-    assert all(rep["n"] == 2 for rep in reports)
-
-
-def test_averaging_decay_runs(capsys):
-    code = _load("averaging_decay").main(["--ops", "2", "--rungs", "2", "--n-min", "200"])
-    lines = capsys.readouterr().out.splitlines()
-    assert code == 0
-    assert lines[0] == "n,gmean_error,ratio_to_prev"
-    assert [line.split(",")[0] for line in lines[1:]] == ["200", "800"]
-
-
 KERNEL_COSTS_HEADER = ("kernel,cpu_ms_p50,cpu_ms_p25,cpu_ms_p75,round_p50_min,round_p50_max,"
                        "minor_faults_per_call")
 
@@ -50,8 +32,17 @@ def _kernel_cost_rows(lines):
     return rows
 
 
-def test_kernel_costs_runs(capsys):
-    code = _load("kernel_costs").main(["--calls", "2", "--warmup", "1"])
+def test_kernel_costs_runs(capsys, monkeypatch):
+    # every kernel is measured in this process in place of its child's
+    # reply; then one real child measures the polish row, which main needs
+    module = _load("kernel_costs")
+
+    def child(cmd, **kwargs):
+        name = cmd[cmd.index("--child") + 1]
+        return subprocess.CompletedProcess(cmd, 0, stdout=json.dumps(module.measure(name, 2, 1)))
+
+    monkeypatch.setattr(module.subprocess, "run", child)
+    code = module.main(["--calls", "2", "--warmup", "1"])
     out = capsys.readouterr()
     lines = out.out.splitlines()
     assert code == 0
@@ -62,6 +53,16 @@ def test_kernel_costs_runs(capsys):
         "integrate(10 steps)", "quadratic(8 operators)", "quadratic(1 operator)",
         "rk4_step(8 operators)", "margins(1 operator)", "margins(32 operators)",
     ]
+    assert out.err.startswith("# polish(4096) steps and stop over 2 calls: ")
+
+    monkeypatch.undo()
+    polish = module._kernels()[module.POLISH_ROW]
+    monkeypatch.setattr(module, "_kernels", lambda: {module.POLISH_ROW: polish})
+    assert module.main(["--calls", "2", "--warmup", "1"]) == 0
+    out = capsys.readouterr()
+    lines = out.out.splitlines()
+    assert lines[0] == KERNEL_COSTS_HEADER
+    assert [row[0] for row in _kernel_cost_rows(lines)] == [module.POLISH_ROW]
     assert out.err.startswith("# polish(4096) steps and stop over 2 calls: ")
 
 

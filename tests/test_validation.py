@@ -32,7 +32,6 @@ _ELIGIBLE = cv.assemble(scal=4.0, wplus=np.diag([2.0, -0.5, -1.5]))
 ONE_VALIDATION = {
     "membership": lambda r: cones.membership(r),
     "cone_margin": lambda r: cones.cone_margin(r, "ic"),
-    "pic_margin": lambda r: cones.pic_margin(r, "-"),
     "shift_to_margin": lambda r: cones.shift_to_margin(r, "ic_minus", 0.1),
     "decompose": lambda r: cv.decompose(r),
     "exact_projection": lambda r: ga.exact_projection(r, "right"),
