@@ -10,7 +10,7 @@ With --rounds N every kernel runs in N such processes, the kernels in
 forward order in even rounds and in reverse order in odd ones, so a drift
 of the host's speed over the run does not fall on one end of the list.
 
-    PYTHONPATH=src python3 scripts/kernel_costs.py [--calls N] [--warmup N] [--rounds N]
+    PYTHONPATH=src python3 scripts/kernel_costs.py [--calls N] [--warmup N] [--rounds N] [--kernel NAME ...]
 
 prints one CSV row per kernel: name (quoted where it holds a comma), the
 median over rounds of each round's median, first and third quartile of the
@@ -25,8 +25,12 @@ reasons over every timed call goes to stderr after the table.  The
 quadratic rows are Q on upper-triangle coordinates, the kernel that each
 RK4 stage calls once, and the rk4_step row is one step of a stack of eight
 trajectories, with per-row step factors as the flow core passes them.
-The two margin rows show the fixed and the per-operator cost of the margin
-kernel that the flow record calls once per block.
+The record row checks and samples one trip-free block of 4 steps of 8
+trajectories, with a sample callback that does nothing.  The two margin
+rows show the fixed and the per-operator cost of the margin kernel that the
+flow record calls once per block.  Each --kernel NAME, which may be
+repeated, limits the run to the named rows; the polish histogram is printed
+only when its row runs.
 """
 
 import argparse
@@ -90,7 +94,15 @@ def _rk4_step():
     coords = flow._coords(eight)
     h = np.full((8, 1), flow.default_dt(eight).min())
     out = np.empty_like(coords)
-    return lambda: flow._rk4_step(coords, h, 0.5 * h, h / 6.0, out)
+    return lambda: flow._rk4_step(coords, 0.5 * h, 0.25 * h, h / 6.0, out)
+
+
+def _record():
+    # the 32 operators as a block of 4 steps of 8 trajectories, none at its
+    # last step; unit norms and no margin floor, so nothing trips
+    block = flow._coords(_operators()[1]).reshape(4, 8, 21)
+    idx, last, params = np.arange(8), np.full(8, 10), flow.FlowParams()
+    return lambda: flow._record(block, idx, last, params, lambda *a: None)
 
 
 def _kernels():
@@ -110,6 +122,7 @@ def _kernels():
         "quadratic(8 operators)": lambda: partial(flow._quadratic, _coords8(), flow._Q_TABLE),
         "quadratic(1 operator)": lambda: partial(flow._quadratic, _coords8()[:1], flow._Q_TABLE),
         "rk4_step(8 operators)": _rk4_step,
+        "record(4 steps x 8)": _record,
         "margins(1 operator)": lambda: partial(cones._margins, _r()[None]),
         "margins(32 operators)": lambda: partial(cones._margins, _operators()[1]),
     }
@@ -148,6 +161,8 @@ def main(argv=None):
     ap.add_argument("--calls", type=int, default=50, help="timed calls per kernel")
     ap.add_argument("--warmup", type=int, default=5, help="untimed calls first")
     ap.add_argument("--rounds", type=int, default=1, help="fresh processes per kernel")
+    ap.add_argument("--kernel", action="append", choices=names, metavar="NAME",
+                    help="run only this kernel's row; repeatable (default: every row)")
     ap.add_argument("--child", choices=names, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.calls < 1 or args.warmup < 0 or args.rounds < 1:
@@ -159,7 +174,8 @@ def main(argv=None):
     # the child imports the same halfpic as this process
     src = os.path.dirname(os.path.dirname(os.path.abspath(halfpic.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    rounds = {name: [] for name in names}
+    rounds = {name: [] for name in names if not args.kernel or name in args.kernel}
+    names = list(rounds)
     for k in range(args.rounds):
         for name in names if k % 2 == 0 else names[::-1]:
             cmd = [sys.executable, os.path.abspath(__file__), "--child", name,
@@ -175,8 +191,9 @@ def main(argv=None):
         p50s = [r["cpu_ms_p50"] for r in res]
         ms = [f"{v:.4f}" for v in (med["cpu_ms_p50"], med["cpu_ms_p25"], med["cpu_ms_p75"], min(p50s), max(p50s))]
         out.writerow([name, *ms, f"{med['faults_per_call']:.1f}"])
-    total = sum((Counter(r["outcomes"]) for r in rounds[POLISH_ROW]), Counter())
-    sys.stderr.write(f"# {POLISH_ROW} steps and stop over {total.total()} calls: {_histogram(total)}\n")
+    if POLISH_ROW in rounds:
+        total = sum((Counter(r["outcomes"]) for r in rounds[POLISH_ROW]), Counter())
+        sys.stderr.write(f"# {POLISH_ROW} steps and stop over {total.total()} calls: {_histogram(total)}\n")
     return 0
 
 

@@ -133,11 +133,14 @@ def _suite_identities(samples, seed):
     checks.append(
         ("B(cp2, Id) = 3 Id", np.abs(flow.bilinear_b(c, i6) - 3 * i6).max(), 1e-9)
     )
-    worst = 0.0
+    worst = worst_q = 0.0
     for _ in range(max(10, samples // 50)):
         r = curvature.random_bianchi(rng)
-        worst = max(worst, np.abs(flow.sharp(r) - flow.sharp_by_polarization(r)).max())
+        polarized = flow.sharp_by_polarization(r)
+        worst = max(worst, np.abs(flow.sharp(r) - polarized).max())
+        worst_q = max(worst_q, np.abs(flow.q_vf(r) - (r @ r + polarized)).max())
     checks.append(("sharp structure constants vs polarization", worst, 1e-12))
+    checks.append(("Q = R^2 + polarized sharp", worst_q, 1e-12))
     worst = 0.0
     for _ in range(max(10, samples // 100)):
         r = curvature.random_bianchi(rng)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lambda2
-from .curvature import _norm, require_bianchi_valid
+from .curvature import _check_count, _norm, require_bianchi_valid
 from .lambda2 import MINUS_BASIS, PLUS_BASIS
 
 CONE_IDS = ("scal", "ic_plus", "ic_minus", "ic")
@@ -26,13 +26,6 @@ MARGIN_SLOPE = {"scal": 12.0, "ic_plus": 2.0, "ic_minus": 2.0, "ic": 2.0}
 def _check_sign(sign):
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-
-
-def _check_samples(samples):
-    n = int(samples)
-    if n < 1:
-        raise ValueError("samples must be positive")
-    return n
 
 
 # Both eigenspace bases stacked, so the two Weyl blocks of an operator go
@@ -76,15 +69,29 @@ def cone_margin(r, cone):
 
 
 def shift_to_margin(r, cone, target):
-    """Shift along the identity so the chosen cone margin equals target,
-    which must be finite."""
+    """Shift along the identity so the chosen cone margin equals target.
+
+    r is one operator and target one number, or r an (n, 6, 6) stack and
+    target n numbers, one per operator.  Every operator is validated and
+    every target must be finite.  A stack takes one margin-kernel call, and
+    each of its operators is shifted to the bits of its own one-operator
+    call.
+    """
     _check_cone(cone)
-    target = float(target)
-    if not math.isfinite(target):
-        raise ValueError(f"target must be finite, got {target!r}")
-    r = require_bianchi_valid(r)
-    t = (target - float(_margins(r)[cone])) / MARGIN_SLOPE[cone]
-    return r + t * np.eye(6)
+    target = np.asarray(target, dtype=float)
+    if not np.isfinite(target).all():
+        bad = float(target[~np.isfinite(target)][0])
+        raise ValueError(f"target must be finite, got {bad!r}")
+    if np.ndim(r) == 3:
+        r = np.asarray(r, dtype=float)
+        for k, op in enumerate(r):
+            require_bianchi_valid(op, name=f"R[{k}]")
+    else:
+        r = require_bianchi_valid(r)
+    if target.shape != r.shape[:-2]:
+        raise ValueError(f"expected targets of shape {r.shape[:-2]}, got {target.shape}")
+    t = (target - _margins(r)[cone]) / MARGIN_SLOPE[cone]
+    return r + t[..., None, None] * np.eye(6)
 
 
 def default_boundary_tol(r):
@@ -305,7 +312,7 @@ def min_isotropic(r, sign="+", samples=10000, seed=0, polish=True):
     """
     r = require_bianchi_valid(r)
     _check_sign(sign)
-    n = _check_samples(samples)
+    n = _check_count(samples, "samples")
     k = _quartic_form(r, sign)
     q, idle = _best_sample(k, n, seed)
     if polish:

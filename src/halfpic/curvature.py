@@ -42,6 +42,21 @@ def check_operator(r, name="R"):
     return r
 
 
+def _check_count(value, name):
+    """value as a positive int.  An integral float such as 1e5 passes; a
+    fractional, infinite or NaN value raises ValueError rather than being
+    truncated."""
+    try:
+        n = int(value)
+    except (OverflowError, ValueError):
+        n = None
+    if n is None or n != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if n < 1:
+        raise ValueError(f"{name} must be positive")
+    return n
+
+
 def _as_tensor(r):
     # (6,6) -> (4,4,4,4) with T[i,j,k,l] = <R(e_i^e_j), e_k^e_l>.
     t = np.zeros((4, 4, 4, 4))

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cones, curvature, lambda2
-from .curvature import check_operator, require_bianchi_valid
+from .curvature import _check_count, check_operator, require_bianchi_valid
 from .lambda2 import AD
 
 TRAJECTORY_HEADER = "t,scal,margin_scal,margin_icplus,margin_icminus,margin_ic,norm"
@@ -88,6 +88,9 @@ def _quadratic_tables():
 
 
 _SHARP_TABLE, _Q_TABLE = _quadratic_tables()
+# 2 Q, for RK4 stages 2 and 3: doubling is exact, so the kernel on this
+# table returns exactly twice the kernel on _Q_TABLE.
+_Q2_TABLE = 2.0 * _Q_TABLE
 
 
 def _quadratic(y, table):
@@ -237,6 +240,13 @@ def _record(block, idx, last, params, sample):
     normalization, has a nonpositive scalar curvature.  Returns the mask of
     the trajectories that ended in the block and the ending code of each, an
     index into _ENDINGS.
+
+    A trip is a sample that stops its trajectory before its last step:
+    blowup, a non-finite state or a tracked margin under the floor.  No
+    block runs past a trajectory's last step, so a block without a trip
+    keeps every sample and completes exactly the trajectories whose last
+    step is its last slot; only a block with a trip looks for each
+    trajectory's first stop and filters the kept samples.
     """
     s, n = block.shape[:2]
     lost = ~np.isfinite(block).all(axis=2)
@@ -250,17 +260,23 @@ def _record(block, idx, last, params, sample):
     if params.margin_floor is not None:
         for c in params.margin_cones:
             tripped = tripped | (m[c] < params.margin_floor).reshape(s, n)
-    slots = np.arange(s)[:, None]
-    stop = tripped | (slots == last)
-    ended = stop.any(axis=0)
-    cols = np.arange(n)
-    first = np.where(ended, stop.argmax(axis=0), s - 1)
-    code = np.where(blowup[first, cols], 2, tripped[first, cols])
-    keep = ((slots <= first) & ~lost).ravel()
     rows = np.concatenate([idx] * s)
-    if not keep.all():
-        r, flat, nrm, rows = r[keep], flat[keep], nrm[keep], rows[keep]
-        m = {c: v[keep] for c, v in m.items()}
+    if tripped.any():
+        slots = np.arange(s)[:, None]
+        stop = tripped | (slots == last)
+        ended = stop.any(axis=0)
+        cols = np.arange(n)
+        first = np.where(ended, stop.argmax(axis=0), s - 1)
+        code = np.where(blowup[first, cols], 2, tripped[first, cols])
+        keep = ((slots <= first) & ~lost).ravel()
+        if not keep.all():
+            r, flat, nrm, rows = r[keep], flat[keep], nrm[keep], rows[keep]
+            m = {c: v[keep] for c, v in m.items()}
+        del stop, first, cols, slots, keep
+    else:
+        # no block runs past a last step, so every sample is kept and the
+        # trajectories at their last step complete
+        ended, code = last == s - 1, np.zeros(n, dtype=int)
     star_trace = flat @ _STAR_FLAT
     over = np.abs(star_trace) > (2.0 * BIANCHI_DRIFT_TOL) * (1.0 + nrm)
     if np.count_nonzero(over):
@@ -269,7 +285,7 @@ def _record(block, idx, last, params, sample):
     if params.normalize and (np.trace(r, axis1=1, axis2=2) <= 0.0).any():
         raise RuntimeError("scalar curvature became nonpositive under normalization")
     # only what sample gets and what _record returns stay alive while it runs
-    del lost, blowup, tripped, stop, first, cols, slots, keep, star_trace, over
+    del lost, blowup, tripped, star_trace, over
     sample(rows, r, m, nrm)
     return ended, code
 
@@ -283,24 +299,26 @@ def _step_counts(t_max, dt):
     return full.astype(int), x - full > 1e-9
 
 
-def _rk4_step(y, h, half, sixth, out):
+def _rk4_step(y, half, quarter, sixth, out):
     """One classical RK4 step of an (m, 21) coordinate stack,
     y + h/6 (((k1 + 2 k2) + 2 k3) + k4), summed in place in that order, each k
-    freed as soon as it is summed.  The stage inputs and then the result are
-    written to out, which must not overlap y; returns out."""
+    freed as soon as it is summed; half, quarter and sixth are h/2, h/4 and
+    h/6 per row.  Stages 2 and 3 run on _Q2_TABLE and so return 2 k2 and
+    2 k3, exactly, and their successors' inputs y + (h/4)(2 k2) and
+    y + (h/2)(2 k3) equal y + (h/2) k2 and y + h k3 bit for bit.  The stage
+    inputs and then the result are written to out, which must not overlap y;
+    returns out."""
     acc = _quadratic(y, _Q_TABLE)
     z = np.multiply(acc, half, out=out)
     z += y
-    k = _quadratic(z, _Q_TABLE)
-    np.multiply(k, half, out=z)
+    k = _quadratic(z, _Q2_TABLE)
+    np.multiply(k, quarter, out=z)
     z += y
-    k *= 2.0
     acc += k
     del k
-    k = _quadratic(z, _Q_TABLE)
-    np.multiply(k, h, out=z)
+    k = _quadratic(z, _Q2_TABLE)
+    np.multiply(k, half, out=z)
     z += y
-    k *= 2.0
     acc += k
     del k
     acc += _quadratic(z, _Q_TABLE)
@@ -364,15 +382,16 @@ def _rk4(r, params, sample):
             last = steps[idx] - k - 1
             slots = np.arange(min(max(1, RECORD_ROWS // len(idx)), last.min() + 1))
             h = np.where(slots[:, None] < full[idx] - k, dt[idx], tail[idx])[:, :, None]
-            half, sixth = 0.5 * h, h / 6.0
+            half, quarter, sixth = 0.5 * h, 0.25 * h, h / 6.0
+            del h  # the steps take only its factors
             block = np.empty((len(slots), len(idx), 21))
             for s in range(len(slots)):
-                y = _rk4_step(y, h[s], half[s], sixth[s], block[s])
+                y = _rk4_step(y, half[s], quarter[s], sixth[s], block[s])
                 if params.normalize:
                     scal = 2.0 * y[:, _DIAG].sum(axis=1, keepdims=True)
                     y *= np.divide(scal0[idx], scal, out=np.ones_like(scal), where=scal > 0.0)
             k += len(slots)
-            del h, half, sixth  # freed before _record samples
+            del half, quarter, sixth  # freed before _record samples
             ended, code = _record(block, idx, last, params, sample)
             for j in np.flatnonzero(ended):
                 terminations[idx[j]] = _ENDINGS[code[j]]
@@ -461,18 +480,18 @@ class ProbeReport:
 
 
 def _seed_stack(cone, n, seed, n_boundary, margin_low, margin_high):
-    """The (n, 6, 6) seeds of a probe; seed k is drawn from the substream
-    (seed, k) and the first n_boundary sit at margin in [0, 1e-6]."""
-    seeds = np.empty((n, 6, 6))
+    """The (n, 6, 6) seeds of a probe; seed k and its target margin are
+    drawn from the substream (seed, k), the first n_boundary targets in
+    [0, 1e-6], and the stack is shifted to its targets in one call."""
+    seeds, targets = np.empty((n, 6, 6)), np.empty(n)
     for k in range(n):
         rng = np.random.default_rng((seed, k))
-        r0 = curvature.random_bianchi(rng, norm=1.0)
+        seeds[k] = curvature.random_bianchi(rng, norm=1.0)
         if k < n_boundary:
-            target = rng.uniform(0.0, 1e-6)
+            targets[k] = rng.uniform(0.0, 1e-6)
         else:
-            target = rng.uniform(margin_low, margin_high)
-        seeds[k] = cones.shift_to_margin(r0, cone, target)
-    return seeds
+            targets[k] = rng.uniform(margin_low, margin_high)
+    return cones.shift_to_margin(seeds, cone, targets)
 
 
 def invariance_probe(
@@ -500,9 +519,7 @@ def invariance_probe(
         raise ValueError("boundary_fraction must lie in [0, 1]")
     if params is None:
         params = FlowParams(t_max=0.05, dt=None, normalize=False)
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be positive")
+    n = _check_count(n, "n")
     minima = np.full(n, np.inf)
     minima_norm = np.full(n, np.inf)
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cones, curvature, lambda2
-from .curvature import assemble, decompose, require_bianchi_valid, scalar
+from .curvature import _check_count, assemble, decompose, require_bianchi_valid, scalar
 from .lambda2 import PLUS_BASIS
 
 LIFT_RESIDUAL_TOL = 1e-9
@@ -81,9 +81,7 @@ def average(r, factor="left", n=10000, seed=0):
     """
     r = require_bianchi_valid(r)
     _check_factor(factor)
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be positive")
+    n = _check_count(n, "n")
     rng = np.random.default_rng(seed)
     return _moment_average(r, lambda2.haar_blocks(rng, n), factor)
 

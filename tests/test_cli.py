@@ -216,6 +216,21 @@ def test_verify_failure_exits_two(capsys, monkeypatch):
     assert "FAIL forced check" in out
 
 
+def test_identities_catch_a_q_off_by_a_ricci_term(capsys, monkeypatch):
+    # 0.1 Ric0 ^ Id vanishes on Einstein operators, so only the random
+    # operators of the Q check see it
+    q_vf = flow.q_vf
+
+    def wrong(r):
+        return q_vf(r) + 0.1 * cv.wedge_sym(cv.decompose(r).ric0, np.eye(4))
+
+    monkeypatch.setattr(flow, "q_vf", wrong)
+    code, out, _ = _run(capsys, "verify", "--suite", "identities")
+    assert code == 2
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 1 and failed[0].startswith("FAIL Q = R^2 + polarized sharp: worst ")
+
+
 def test_bianchi_roundtrip_checks_an_operator_at_one_sample(capsys, monkeypatch):
     # a planted recompose that is off by one fails even when samples // 2 is 0
     recompose = cv.recompose
@@ -228,7 +243,9 @@ def test_bianchi_roundtrip_checks_an_operator_at_one_sample(capsys, monkeypatch)
 def test_a_flow_error_fails_its_invariance_check(capsys, monkeypatch):
     # the planted field R^2 - R# leaves the Bianchi subspace: each probe
     # raises mid-flow, and its check fails instead of ending the suite
-    monkeypatch.setattr(flow, "_Q_TABLE", flow._Q_TABLE - 2.0 * flow._SHARP_TABLE)
+    wrong = flow._Q_TABLE - 2.0 * flow._SHARP_TABLE
+    monkeypatch.setattr(flow, "_Q_TABLE", wrong)
+    monkeypatch.setattr(flow, "_Q2_TABLE", 2.0 * wrong)
     code, out, _ = _run(capsys, "verify", "--suite", "invariance", "--samples", "40")
     assert code == 2
     lines = out.splitlines()

@@ -695,14 +695,31 @@ def test_block_record_equals_integrate_per_trajectory(n):
 
 
 def _plain_rk4(r0, dt, t_max):
-    # one operator, step by step, with a partial last step: no blocks
+    # textbook RK4 on 6x6 operators, one step at a time with a partial last
+    # step: it shares only the Q kernel with the core, not its step or blocks
     full = int(np.floor(t_max / dt + 1e-9))
     tail = t_max - full * dt
-    states, y = [r0], flow._coords(r0[None])
+    states, r = [r0], r0
     for h in [dt] * full + [tail] * (t_max / dt - full > 1e-9):
-        y = flow._rk4_step(y, h, 0.5 * h, h / 6.0, np.empty_like(y))
-        states.append(flow._expand(y[0]))
+        k1 = flow._one_operator(r, flow._Q_TABLE)
+        k2 = flow._one_operator(r + (0.5 * h) * k1, flow._Q_TABLE)
+        k3 = flow._one_operator(r + (0.5 * h) * k2, flow._Q_TABLE)
+        k4 = flow._one_operator(r + h * k3, flow._Q_TABLE)
+        r = ((k1 + 2.0 * k2) + 2.0 * k3 + k4) * (h / 6.0) + r
+        states.append(r)
     return states
+
+
+@pytest.mark.parametrize("dt", [1e-3, 7e-4, 3e-3])
+def test_integrate_is_textbook_rk4_bit_for_bit(dt):
+    # norms 1e-2 to 1e2; 7e-4 and 3e-3 do not divide t_max
+    rng = np.random.default_rng(21)
+    for norm in np.logspace(-2, 2, 9):
+        r0 = cv.random_bianchi(rng, norm=norm)
+        traj = flow.integrate(r0, flow.FlowParams(t_max=0.01, dt=dt))
+        want = _plain_rk4(r0, dt, 0.01)
+        assert traj.termination == "completed"
+        assert [op.tolist() for op in traj.operators] == [op.tolist() for op in want]
 
 
 def test_a_block_that_ends_at_a_partial_last_step(monkeypatch):
@@ -774,6 +791,12 @@ def test_probe_reads_margins_through_the_module_binding(monkeypatch):
 def test_probe_parameter_validation():
     with pytest.raises(ValueError, match="unknown cone"):
         flow.invariance_probe("sectional", n=2)
+    for n in (2.7, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            flow.invariance_probe("ic", n=n)
+    report = flow.invariance_probe("ic", n=2.0)
+    assert type(report.n) is int and report.n == 2
+    assert report.min_margin == flow.invariance_probe("ic", n=2).min_margin
     with pytest.raises(ValueError, match="boundary_fraction"):
         flow.invariance_probe("ic", n=2, boundary_fraction=1.5)
     for n in (0, -1):

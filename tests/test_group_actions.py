@@ -222,6 +222,14 @@ def test_average_rejects_bad_n():
         ga.average(np.eye(6), n=0)
 
 
+@pytest.mark.parametrize("n", [1e3 + 0.5, np.inf, np.nan])
+def test_average_rejects_a_count_that_is_not_an_integer(n):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        ga.average(np.eye(6), n=n)
+    r = _bianchi(4)
+    np.testing.assert_array_equal(ga.average(r, n=1e3, seed=1), ga.average(r, n=1000, seed=1))
+
+
 # -- witness -------------------------------------------------------------------
 
 

@@ -34,7 +34,7 @@ def _kernel_cost_rows(lines):
 
 def test_kernel_costs_runs(capsys, monkeypatch):
     # every kernel is measured in this process in place of its child's
-    # reply; then one real child measures the polish row, which main needs
+    # reply; then real children measure the two rows that --kernel names
     module = _load("kernel_costs")
 
     def child(cmd, **kwargs):
@@ -51,18 +51,23 @@ def test_kernel_costs_runs(capsys, monkeypatch):
         "min_isotropic(4096)", "min_isotropic(4096,-)", "min_isotropic(4096,unpolished)",
         "min_isotropic(4096,-,unpolished)", "polish(4096)", "average(5e4)", "invariance_probe(n=8)",
         "integrate(10 steps)", "quadratic(8 operators)", "quadratic(1 operator)",
-        "rk4_step(8 operators)", "margins(1 operator)", "margins(32 operators)",
+        "rk4_step(8 operators)", "record(4 steps x 8)", "margins(1 operator)", "margins(32 operators)",
     ]
     assert out.err.startswith("# polish(4096) steps and stop over 2 calls: ")
+    # --kernel runs only the named rows, and without the polish row no
+    # histogram follows the table
+    assert module.main(["--calls", "2", "--warmup", "1", "--kernel", "record(4 steps x 8)"]) == 0
+    out = capsys.readouterr()
+    assert [row[0] for row in _kernel_cost_rows(out.out.splitlines())] == ["record(4 steps x 8)"]
+    assert out.err == ""
 
     monkeypatch.undo()
-    polish = module._kernels()[module.POLISH_ROW]
-    monkeypatch.setattr(module, "_kernels", lambda: {module.POLISH_ROW: polish})
-    assert module.main(["--calls", "2", "--warmup", "1"]) == 0
+    args = ["--calls", "2", "--warmup", "1", "--kernel", "record(4 steps x 8)", "--kernel", module.POLISH_ROW]
+    assert module.main(args) == 0
     out = capsys.readouterr()
     lines = out.out.splitlines()
     assert lines[0] == KERNEL_COSTS_HEADER
-    assert [row[0] for row in _kernel_cost_rows(lines)] == [module.POLISH_ROW]
+    assert [row[0] for row in _kernel_cost_rows(lines)] == [module.POLISH_ROW, "record(4 steps x 8)"]
     assert out.err.startswith("# polish(4096) steps and stop over 2 calls: ")
 
 
