@@ -10,7 +10,7 @@ With --rounds N every kernel runs in N such processes, the kernels in
 forward order in even rounds and in reverse order in odd ones, so a drift
 of the host's speed over the run does not fall on one end of the list.
 
-    PYTHONPATH=src python3 scripts/kernel_costs.py [--calls N] [--warmup N] [--rounds N] [--kernel NAME ...]
+    PYTHONPATH=src python3 scripts/kernel_costs.py [--calls N] [--warmup N] [--rounds N]
 
 prints one CSV row per kernel: name (quoted where it holds a comma), the
 median over rounds of each round's median, first and third quartile of the
@@ -28,9 +28,7 @@ trajectories, with per-row step factors as the flow core passes them.
 The record row checks and samples one trip-free block of 4 steps of 8
 trajectories, with a sample callback that does nothing.  The two margin
 rows show the fixed and the per-operator cost of the margin kernel that the
-flow record calls once per block.  Each --kernel NAME, which may be
-repeated, limits the run to the named rows; the polish histogram is printed
-only when its row runs.
+flow record calls once per block.
 """
 
 import argparse
@@ -161,8 +159,6 @@ def main(argv=None):
     ap.add_argument("--calls", type=int, default=50, help="timed calls per kernel")
     ap.add_argument("--warmup", type=int, default=5, help="untimed calls first")
     ap.add_argument("--rounds", type=int, default=1, help="fresh processes per kernel")
-    ap.add_argument("--kernel", action="append", choices=names, metavar="NAME",
-                    help="run only this kernel's row; repeatable (default: every row)")
     ap.add_argument("--child", choices=names, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.calls < 1 or args.warmup < 0 or args.rounds < 1:
@@ -174,8 +170,7 @@ def main(argv=None):
     # the child imports the same halfpic as this process
     src = os.path.dirname(os.path.dirname(os.path.abspath(halfpic.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    rounds = {name: [] for name in names if not args.kernel or name in args.kernel}
-    names = list(rounds)
+    rounds = {name: [] for name in names}
     for k in range(args.rounds):
         for name in names if k % 2 == 0 else names[::-1]:
             cmd = [sys.executable, os.path.abspath(__file__), "--child", name,
@@ -191,9 +186,8 @@ def main(argv=None):
         p50s = [r["cpu_ms_p50"] for r in res]
         ms = [f"{v:.4f}" for v in (med["cpu_ms_p50"], med["cpu_ms_p25"], med["cpu_ms_p75"], min(p50s), max(p50s))]
         out.writerow([name, *ms, f"{med['faults_per_call']:.1f}"])
-    if POLISH_ROW in rounds:
-        total = sum((Counter(r["outcomes"]) for r in rounds[POLISH_ROW]), Counter())
-        sys.stderr.write(f"# {POLISH_ROW} steps and stop over {total.total()} calls: {_histogram(total)}\n")
+    total = sum((Counter(r["outcomes"]) for r in rounds[POLISH_ROW]), Counter())
+    sys.stderr.write(f"# {POLISH_ROW} steps and stop over {total.total()} calls: {_histogram(total)}\n")
     return 0
 
 

@@ -69,29 +69,15 @@ def cone_margin(r, cone):
 
 
 def shift_to_margin(r, cone, target):
-    """Shift along the identity so the chosen cone margin equals target.
-
-    r is one operator and target one number, or r an (n, 6, 6) stack and
-    target n numbers, one per operator.  Every operator is validated and
-    every target must be finite.  A stack takes one margin-kernel call, and
-    each of its operators is shifted to the bits of its own one-operator
-    call.
-    """
+    """Shift along the identity so the chosen cone margin equals target,
+    which must be finite."""
     _check_cone(cone)
-    target = np.asarray(target, dtype=float)
-    if not np.isfinite(target).all():
-        bad = float(target[~np.isfinite(target)][0])
-        raise ValueError(f"target must be finite, got {bad!r}")
-    if np.ndim(r) == 3:
-        r = np.asarray(r, dtype=float)
-        for k, op in enumerate(r):
-            require_bianchi_valid(op, name=f"R[{k}]")
-    else:
-        r = require_bianchi_valid(r)
-    if target.shape != r.shape[:-2]:
-        raise ValueError(f"expected targets of shape {r.shape[:-2]}, got {target.shape}")
-    t = (target - _margins(r)[cone]) / MARGIN_SLOPE[cone]
-    return r + t[..., None, None] * np.eye(6)
+    target = float(target)
+    if not math.isfinite(target):
+        raise ValueError(f"target must be finite, got {target!r}")
+    r = require_bianchi_valid(r)
+    t = (target - float(_margins(r)[cone])) / MARGIN_SLOPE[cone]
+    return r + t * np.eye(6)
 
 
 def default_boundary_tol(r):

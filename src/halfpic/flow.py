@@ -89,7 +89,9 @@ def _quadratic_tables():
 
 _SHARP_TABLE, _Q_TABLE = _quadratic_tables()
 # 2 Q, for RK4 stages 2 and 3: doubling is exact, so the kernel on this
-# table returns exactly twice the kernel on _Q_TABLE.
+# table returns exactly twice the kernel on _Q_TABLE.  It is a second copy
+# of Q: whatever replaces _Q_TABLE must also set _Q2_TABLE to twice the
+# new table, or stages 2 and 3 keep the old Q.
 _Q2_TABLE = 2.0 * _Q_TABLE
 
 
@@ -480,18 +482,18 @@ class ProbeReport:
 
 
 def _seed_stack(cone, n, seed, n_boundary, margin_low, margin_high):
-    """The (n, 6, 6) seeds of a probe; seed k and its target margin are
-    drawn from the substream (seed, k), the first n_boundary targets in
-    [0, 1e-6], and the stack is shifted to its targets in one call."""
-    seeds, targets = np.empty((n, 6, 6)), np.empty(n)
+    """The (n, 6, 6) seeds of a probe; seed k is drawn from the substream
+    (seed, k) and the first n_boundary sit at margin in [0, 1e-6]."""
+    seeds = np.empty((n, 6, 6))
     for k in range(n):
         rng = np.random.default_rng((seed, k))
-        seeds[k] = curvature.random_bianchi(rng, norm=1.0)
+        r0 = curvature.random_bianchi(rng, norm=1.0)
         if k < n_boundary:
-            targets[k] = rng.uniform(0.0, 1e-6)
+            target = rng.uniform(0.0, 1e-6)
         else:
-            targets[k] = rng.uniform(margin_low, margin_high)
-    return cones.shift_to_margin(seeds, cone, targets)
+            target = rng.uniform(margin_low, margin_high)
+        seeds[k] = cones.shift_to_margin(r0, cone, target)
+    return seeds
 
 
 def invariance_probe(

@@ -110,34 +110,6 @@ def test_shift_to_margin_rejects_a_nonfinite_target(target):
             cones.shift_to_margin(_bianchi(4, norm=2.0), "ic_plus", target)
 
 
-@pytest.mark.parametrize("cone", cones.CONE_IDS)
-def test_stacked_shift_to_margin_is_each_operator_alone(cone):
-    # the probe shifts its seeds as one stack; large norms and a boundary
-    # operator included
-    rng = np.random.default_rng(12)
-    ops = [cv.random_bianchi(rng, norm=10.0 ** e) for e in range(-3, 4)] + [cv.model("cp2", 12.0)]
-    targets = rng.uniform(-1.0, 1.0, len(ops))
-    got = cones.shift_to_margin(np.stack(ops), cone, targets)
-    assert got.shape == (len(ops), 6, 6)
-    for k, (r, target) in enumerate(zip(ops, targets)):
-        assert got[k].tolist() == cones.shift_to_margin(r, cone, float(target)).tolist()
-
-
-def test_stacked_shift_to_margin_checks_every_operator_and_target():
-    ops = np.stack([_bianchi(k, norm=1.0) for k in range(4)])
-    ops[2] += 1e-3 * l2.HODGE_STAR
-    with pytest.raises(cv.OperatorFormatError, match=r"R\[2\] violates the first Bianchi identity"):
-        cones.shift_to_margin(ops, "ic", np.zeros(4))
-    ops[2] = np.eye(6)
-    for bad in (math.nan, math.inf, -math.inf):
-        targets = np.zeros(4)
-        targets[1] = bad
-        with pytest.raises(ValueError, match=f"target must be finite, got {bad!r}"):
-            cones.shift_to_margin(ops, "ic", targets)
-    with pytest.raises(ValueError, match="expected targets of shape"):
-        cones.shift_to_margin(ops, "ic", np.zeros(3))
-
-
 def _kernel_operators():
     # random, large-norm, and exact-boundary operators (rotated cp2 and shifts)
     rng = np.random.default_rng(11)

@@ -34,7 +34,8 @@ def _kernel_cost_rows(lines):
 
 def test_kernel_costs_runs(capsys, monkeypatch):
     # every kernel is measured in this process in place of its child's
-    # reply; then real children measure the two rows that --kernel names
+    # reply; then real children measure the polish row, which main needs,
+    # and the record row
     module = _load("kernel_costs")
 
     def child(cmd, **kwargs):
@@ -54,16 +55,11 @@ def test_kernel_costs_runs(capsys, monkeypatch):
         "rk4_step(8 operators)", "record(4 steps x 8)", "margins(1 operator)", "margins(32 operators)",
     ]
     assert out.err.startswith("# polish(4096) steps and stop over 2 calls: ")
-    # --kernel runs only the named rows, and without the polish row no
-    # histogram follows the table
-    assert module.main(["--calls", "2", "--warmup", "1", "--kernel", "record(4 steps x 8)"]) == 0
-    out = capsys.readouterr()
-    assert [row[0] for row in _kernel_cost_rows(out.out.splitlines())] == ["record(4 steps x 8)"]
-    assert out.err == ""
 
     monkeypatch.undo()
-    args = ["--calls", "2", "--warmup", "1", "--kernel", "record(4 steps x 8)", "--kernel", module.POLISH_ROW]
-    assert module.main(args) == 0
+    rows = {name: module._kernels()[name] for name in (module.POLISH_ROW, "record(4 steps x 8)")}
+    monkeypatch.setattr(module, "_kernels", lambda: rows)
+    assert module.main(["--calls", "2", "--warmup", "1"]) == 0
     out = capsys.readouterr()
     lines = out.out.splitlines()
     assert lines[0] == KERNEL_COSTS_HEADER
