@@ -73,7 +73,7 @@ def cmd_flow(args):
         dt=args.dt,
         normalize=args.normalize,
         blowup_norm=args.blowup_norm,
-        margin_cones=tuple(args.cones) if args.cones else cones.CONE_IDS,
+        margin_cones=tuple(args.cones),
         margin_floor=args.margin_floor,
     )
     traj = flow.integrate(r, params)
@@ -81,7 +81,7 @@ def cmd_flow(args):
     if args.out:
         sys.stdout.write(
             f"termination={traj.termination} samples={len(traj)} "
-            f"t_final={traj.t[-1]:.17g} scal_final={traj.scal[-1]:.17g}\n"
+            f"t_final={traj.t[-1]:.17g} scal_final={traj.margins['scal'][-1]:.17g}\n"
         )
     if args.snapshots_out:
         _emit(json.dumps(flow.trajectory_snapshots(traj), indent=2) + "\n", args.snapshots_out)
@@ -188,7 +188,6 @@ def _suite_bianchi(samples, seed):
 def _suite_pic_equivalence(samples, seed):
     rng = np.random.default_rng(seed)
     results = []
-    band = 1e-9
     agree = True
     worst_iso = 0.0
     n_iso = min(samples, 50)
@@ -196,7 +195,7 @@ def _suite_pic_equivalence(samples, seed):
         r = curvature.random_bianchi(rng, norm=1.0)
         mp = cones.cone_margin(r, "ic_plus")
         tp = cones.two_positive_margin(curvature.plus_block(r))
-        if abs(mp) > band and np.sign(mp) != np.sign(tp):
+        if abs(mp) > cones.default_boundary_tol(r) and np.sign(mp) != np.sign(tp):
             agree = False
         if k < n_iso:
             got = cones.min_isotropic(r, "+", samples=4096, seed=seed + k)
@@ -325,7 +324,7 @@ def build_parser():
     f.add_argument("--normalize", action="store_true")
     f.add_argument("--blowup-norm", type=float, default=1e8)
     f.add_argument("--margin-floor", type=float, default=None)
-    f.add_argument("--cones", nargs="*", choices=cones.CONE_IDS, default=None)
+    f.add_argument("--cones", nargs="+", choices=cones.CONE_IDS, default=cones.CONE_IDS)
     f.add_argument("--out", default=None, help="trajectory CSV path (stdout if omitted)")
     f.add_argument("--snapshots-out", default=None, help="operator snapshots JSON path")
     f.set_defaults(func=cmd_flow)

@@ -90,7 +90,6 @@ class MembershipReport:
 
     margins: dict = field(default_factory=dict)
     classification: str = "neither"
-    tol: float = BOUNDARY_TOL
 
     def to_json(self):
         out = {k: float(self.margins[k]) for k in CONE_IDS}
@@ -128,7 +127,7 @@ def membership(r, tol=None):
         raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     margins = {c: float(m) for c, m in _margins(r).items()}
     classification = _classify(margins["ic_plus"], margins["ic_minus"], tol)
-    return MembershipReport(margins=margins, classification=classification, tol=tol)
+    return MembershipReport(margins=margins, classification=classification)
 
 
 # ---------------------------------------------------------------------------

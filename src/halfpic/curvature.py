@@ -9,6 +9,7 @@ both the validity test and the projector used here.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from . import lambda2
 from .lambda2 import HODGE_STAR, MINUS_BASIS, PAIR_I, PAIR_J, PLUS_BASIS
 
-BASIS_STRING = "e12,e13,e14,e23,e24,e34"
+BASIS_STRING = ",".join(lambda2.BASIS_LABELS)
 
 SYMMETRY_TOL = 1e-12
 BIANCHI_TOL = 1e-10
@@ -215,9 +216,11 @@ def model(name, scale=12.0):
     """Reference curvature operators.
 
     scale is the scalar curvature for sphere, cp2, cp2bar and kaehler_wplus,
-    and the inverse squared radius for s3xr and s2xs2.
+    and the inverse squared radius for s3xr and s2xs2; it must be finite.
     """
     scale = float(scale)
+    if not math.isfinite(scale):
+        raise ValueError(f"scale must be finite, got {scale!r}")
     if name == "sphere":
         return (scale / 12.0) * np.eye(6)
     if name == "cp2" or name == "kaehler_wplus":

@@ -197,15 +197,15 @@ class FlowParams:
 
 @dataclass
 class FlowTrajectory:
-    """Samples of one integration, first sample at t=0."""
+    """Samples of one integration, first sample at t=0: the times, the
+    operators, the margin of each cone (margins["scal"] is the scalar
+    curvature), the norms and how the integration ended."""
 
     t: np.ndarray
     operators: list
-    scal: np.ndarray
     margins: dict
     norm: np.ndarray
     termination: str
-    params: FlowParams
 
     def __len__(self):
         return len(self.t)
@@ -284,7 +284,7 @@ def _record(block, idx, last, params, sample):
     if np.count_nonzero(over):
         drift = 0.5 * abs(star_trace[over][0])
         raise RuntimeError(f"Bianchi drift {drift:.3e} exceeded tolerance mid-flow")
-    if params.normalize and (np.trace(r, axis1=1, axis2=2) <= 0.0).any():
+    if params.normalize and (m["scal"] <= 0.0).any():
         raise RuntimeError("scalar curvature became nonpositive under normalization")
     # only what sample gets and what _record returns stay alive while it runs
     del lost, blowup, tripped, star_trace, over
@@ -430,11 +430,9 @@ def integrate(r0, params):
     return FlowTrajectory(
         t=t,
         operators=ops,
-        scal=np.array(margins["scal"]),
         margins={c: np.array(v) for c, v in margins.items()},
         norm=np.array(norms),
         termination=termination,
-        params=params,
     )
 
 
@@ -445,7 +443,7 @@ def trajectory_csv(traj):
     for k in range(len(traj)):
         row = (
             traj.t[k],
-            traj.scal[k],
+            traj.margins["scal"][k],
             traj.margins["scal"][k],
             traj.margins["ic_plus"][k],
             traj.margins["ic_minus"][k],
@@ -476,49 +474,35 @@ class ProbeReport:
     min_margin: float
     min_margin_normalized: float
     worst_index: int
-    worst_seed: tuple
     trajectory_minima: np.ndarray = field(repr=False)
     terminations: dict = field(default_factory=dict)
 
 
-def _seed_stack(cone, n, seed, n_boundary, margin_low, margin_high):
-    """The (n, 6, 6) seeds of a probe; seed k is drawn from the substream
-    (seed, k) and the first n_boundary sit at margin in [0, 1e-6]."""
+def _seed_stack(cone, n, seed):
+    """The (n, 6, 6) seeds of a probe.  Seed k is a unit-norm Gaussian
+    sample of the Bianchi space drawn from the substream (seed, k), then a
+    start margin from the same substream, and is shifted along the identity
+    to that margin: the first round(n / 2) at margins from U[0, 1e-6], the
+    rest from U[0, 0.5]."""
     seeds = np.empty((n, 6, 6))
     for k in range(n):
         rng = np.random.default_rng((seed, k))
         r0 = curvature.random_bianchi(rng, norm=1.0)
-        if k < n_boundary:
-            target = rng.uniform(0.0, 1e-6)
-        else:
-            target = rng.uniform(margin_low, margin_high)
+        target = rng.uniform(0.0, 1e-6 if k < round(n / 2) else 0.5)
         seeds[k] = cones.shift_to_margin(r0, cone, target)
     return seeds
 
 
-def invariance_probe(
-    cone,
-    n=100,
-    seed=0,
-    params=None,
-    boundary_fraction=0.5,
-    margin_low=0.0,
-    margin_high=0.5,
-):
+def invariance_probe(cone, n=100, seed=0, params=None):
     """Integrate n random in-cone operators and report the worst margin.
 
-    Seeds are unit-norm Gaussian samples of the Bianchi space shifted along
-    the identity to a prescribed start margin: a boundary_fraction of them
-    sit at margin in [0, 1e-6], the rest uniformly in [margin_low,
-    margin_high].  Negative bounds are allowed on purpose so a test can
-    show that escapes are detected.  Trajectory k is driven by the
-    substream (seed, k), so reports are reproducible per sample.  All n
-    seeds run as one stacked integration, with the same numbers as n
-    separate integrate calls; only running minima are kept.
+    The seeds are those of _seed_stack: half of them start within 1e-6 of
+    the cone's boundary, the rest up to 0.5 inside.  Trajectory k is driven
+    by the substream (seed, k), so (seed, worst_index) replays the worst
+    one.  All n seeds run as one stacked integration, with the same numbers
+    as n separate integrate calls; only running minima are kept.
     """
     cones._check_cone(cone)
-    if not 0.0 <= boundary_fraction <= 1.0:
-        raise ValueError("boundary_fraction must lie in [0, 1]")
     if params is None:
         params = FlowParams(t_max=0.05, dt=None, normalize=False)
     n = _check_count(n, "n")
@@ -532,10 +516,7 @@ def invariance_probe(
 
     # the seed stack goes straight to _rk4, so no reference to it outlives
     # its coordinates
-    n_boundary = int(round(boundary_fraction * n))
-    ends, _ = _rk4(
-        _seed_stack(cone, n, seed, n_boundary, margin_low, margin_high), params, sample
-    )
+    ends, _ = _rk4(_seed_stack(cone, n, seed), params, sample)
     worst = int(np.argmin(minima_norm))
     return ProbeReport(
         cone=cone,
@@ -544,7 +525,6 @@ def invariance_probe(
         min_margin=float(minima.min()),
         min_margin_normalized=float(minima_norm.min()),
         worst_index=worst,
-        worst_seed=(seed, worst),
         trajectory_minima=minima,
         terminations=dict(Counter(ends)),
     )

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -48,6 +49,17 @@ def test_models_rejects_unknown_name(capsys):
     code, _, err = _run(capsys, "models", "--name", "flat")
     assert code == 1
     assert "invalid choice" in err
+
+
+def test_models_rejects_a_non_finite_scal(capsys):
+    # the scale is refused before any arithmetic, so numpy never warns
+    for scal in ("inf", "1e400", "nan"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = _run(capsys, "models", "--name", "sphere", "--scal", scal)
+        assert code == 1 and out == "", scal
+        assert "scale must be finite" in err
+        assert "RuntimeWarning" not in err and caught == []
 
 
 # -- classify / decompose ------------------------------------------------------
@@ -162,6 +174,13 @@ def test_flow_to_stdout_is_deterministic(capsys, op_path):
     _, out2, _ = _run(capsys, *args)
     assert out1 == out2
     assert out1.startswith("t,scal,")
+
+
+def test_flow_cones_needs_at_least_one_name(capsys, op_path):
+    # an empty --cones would otherwise be read as every cone or as none
+    code, out, err = _run(capsys, "flow", "--input", op_path, "--cones")
+    assert code == 1 and out == ""
+    assert "expected at least one argument" in err
 
 
 def test_flow_rejects_bad_steps(capsys, op_path):

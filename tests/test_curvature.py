@@ -272,6 +272,13 @@ def test_model_rejects_unknown_name():
         cv.model("flat")
 
 
+@pytest.mark.parametrize("scale", [float("inf"), float("nan")])
+def test_model_rejects_a_non_finite_scale(scale):
+    for name in cv.MODEL_NAMES:
+        with pytest.raises(ValueError, match="scale must be finite"):
+            cv.model(name, scale)
+
+
 # -- the orthogonal action -----------------------------------------------------
 
 

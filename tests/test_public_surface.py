@@ -1,5 +1,6 @@
 """Every public module-level name of halfpic has a caller outside the tests,
-or an entry in ALLOWED that says why it stays."""
+and every field of one of its dataclasses a reader there, or an entry in
+ALLOWED that says why it stays."""
 
 import ast
 import re
@@ -11,7 +12,7 @@ CALLER_DIRS = ("src", "scripts", "bench")
 
 # name -> why it stays without a caller in src/, scripts/ or bench/: part of
 # the API the README documents, or a reference route, named with the test
-# that compares against it.
+# that compares against it.  A dataclass field is named module.Class.field.
 ALLOWED = {
     "lambda2.wedge": "README API; test_lambda2::test_wedge_inner_is_the_gram_determinant",
     "lambda2.P_PLUS": "README API (the Hodge projectors)",
@@ -27,6 +28,8 @@ ALLOWED = {
     "test_lambda2::test_left_multiplication_rotates_selfdual_and_fixes_antiselfdual",
     "flow.sharp_quadratic_form": "reference route: the defining form of R# at one bivector; "
     "test_flow::test_sharp_quadratic_form_is_the_diagonal",
+    "flow.ProbeReport.worst_index": "with ProbeReport.seed the replay handle of the worst "
+    "trajectory; test_flow::test_probe_worst_seed_replays",
 }
 
 
@@ -51,40 +54,64 @@ def _public_definitions():
     return found
 
 
+def _dataclass_fields():
+    # "module.Class.field" of every annotated field of a @dataclass
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef) and any(
+                isinstance(d, ast.Name) and d.id == "dataclass" for d in node.decorator_list
+            ):
+                found += [
+                    f"{path.stem}.{node.name}.{stmt.target.id}"
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                ]
+    return found
+
+
 def _references():
-    # (file, line, name, bare) of every use of a name: a bare load (which
-    # counts only in the module that defines the name), an attribute load, an
-    # imported name, and a string that is exactly "module.name" (the names
-    # in the benchmark's span table)
+    # (file, line, name, kind) of every use of a name: "bare", a bare load
+    # (which counts only in the module that defines the name); "attr", an
+    # attribute load, an imported name or a string that is exactly
+    # "module.name" (the names in the benchmark's span table); "word", a
+    # string that is exactly "name" (a getattr, say), which counts only for
+    # dataclass fields
     refs = set()
     for top in CALLER_DIRS:
         for path in sorted((ROOT / top).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
                 line = getattr(node, "lineno", None)
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    refs.add((path, line, node.id, True))
+                    refs.add((path, line, node.id, "bare"))
                 elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    refs.add((path, line, node.attr, False))
+                    refs.add((path, line, node.attr, "attr"))
                 elif isinstance(node, ast.ImportFrom):
-                    refs.update((path, line, alias.name, False) for alias in node.names)
+                    refs.update((path, line, alias.name, "attr") for alias in node.names)
                 elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                     m = re.fullmatch(r"[a-z_0-9]+\.([A-Za-z_]\w*)", node.value)
                     if m:
-                        refs.add((path, line, m.group(1), False))
+                        refs.add((path, line, m.group(1), "attr"))
+                    elif node.value.isidentifier():
+                        refs.add((path, line, node.value, "word"))
     return refs
 
 
 def _unused():
-    # the public names without a caller, as "module.name"
+    # the public names without a caller, as "module.name", then the dataclass
+    # fields that nothing reads, as "module.Class.field"
     refs = _references()
     unused = []
     for (module, name), own in _public_definitions().items():
         home = PACKAGE / f"{module}.py"
         if not any(
-            n == name and (p == home if bare else True) and not (p == home and ln in own)
-            for p, ln, n, bare in refs
+            n == name and kind != "word" and (p == home if kind == "bare" else True)
+            and not (p == home and ln in own)
+            for p, ln, n, kind in refs
         ):
             unused.append(f"{module}.{name}")
+    read = {n for _, _, n, kind in refs if kind != "bare"}
+    unused += [f for f in _dataclass_fields() if f.rsplit(".", 1)[1] not in read]
     return unused
 
 
