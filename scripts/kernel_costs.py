@@ -25,6 +25,10 @@ reasons over every timed call goes to stderr after the table.  The
 quadratic rows are Q on upper-triangle coordinates, the kernel that each
 RK4 stage calls once, and the rk4_step row is one step of a stack of eight
 trajectories, with per-row step factors as the flow core passes them.
+The three 1024-row rows split the Haar layer into one block's parts:
+haar_quaternions draws and normalizes one lambda2.HAAR_BLOCK block,
+sample_values scores one block by the fixed quartic form K of the frame
+sampler, and moment is group_actions._moment_average on one block.
 The record row checks and samples one trip-free block of 4 steps of 8
 trajectories, with a sample callback that does nothing.  The two margin
 rows show the fixed and the per-operator cost of the margin kernel that the
@@ -47,7 +51,7 @@ from time import process_time
 import numpy as np
 
 import halfpic
-from halfpic import cones, curvature, flow, group_actions
+from halfpic import cones, curvature, flow, group_actions, lambda2
 
 
 POLISH_ROW = "polish(4096)"
@@ -87,6 +91,10 @@ def _polish():
     return lambda: cones._polish_quaternion(*next(starts))
 
 
+def _haar_block():
+    return lambda2.haar_quaternions(np.random.default_rng(0), lambda2.HAAR_BLOCK)
+
+
 def _rk4_step():
     eight = _operators()[1][:8]
     coords = flow._coords(eight)
@@ -115,6 +123,9 @@ def _kernels():
         "min_isotropic(4096,-,unpolished)": lambda: partial(mi, _r(), "-", samples=4096, seed=0, polish=False),
         POLISH_ROW: _polish,
         "average(5e4)": lambda: partial(group_actions.average, _r(), "left", n=50_000, seed=0),
+        "haar_quaternions(1024)": lambda: partial(lambda2.haar_quaternions, np.random.default_rng(0), lambda2.HAAR_BLOCK),
+        "sample_values(1024)": lambda: partial(cones._sample_values, cones._quartic_form(_r(), "+"), _haar_block()),
+        "moment(1024)": lambda: partial(group_actions._moment_average, _r(), [_haar_block()], "left"),
         "invariance_probe(n=8)": lambda: partial(flow.invariance_probe, "ic_plus", n=8, seed=0),
         "integrate(10 steps)": lambda: partial(flow.integrate, _r(), flow.FlowParams(t_max=1e-2, dt=1e-3)),
         "quadratic(8 operators)": lambda: partial(flow._quadratic, _coords8(), flow._Q_TABLE),

@@ -88,14 +88,17 @@ def cmd_flow(args):
     return 0
 
 
-def _check_samples(samples):
-    # A --samples below one would average or check nothing.
+def _check_samples(samples, seed):
+    # A --samples below one would average or check nothing, and numpy
+    # refuses a negative seed without naming the option.
     if samples < 1:
         raise ValueError(f"--samples must be positive, got {samples}")
+    if seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {seed}")
 
 
 def cmd_average(args):
-    _check_samples(args.samples)
+    _check_samples(args.samples, args.seed)
     r = curvature.read_operator(args.infile)
     avg = group_actions.average(r, factor=args.factor, n=args.samples, seed=args.seed)
     proj = group_actions.exact_projection(r, factor=args.factor)
@@ -189,7 +192,7 @@ def _suite_pic_equivalence(samples, seed):
     rng = np.random.default_rng(seed)
     results = []
     agree = True
-    worst_iso = 0.0
+    worst_iso = worst_half = 0.0
     n_iso = min(samples, 50)
     for k in range(samples):
         r = curvature.random_bianchi(rng, norm=1.0)
@@ -200,9 +203,13 @@ def _suite_pic_equivalence(samples, seed):
         if k < n_iso:
             got = cones.min_isotropic(r, "+", samples=4096, seed=seed + k)
             worst_iso = max(worst_iso, abs(got - 2.0 * tp))
+            worst_half = max(worst_half, abs(mp - got / 2.0))
     results.append(("sign agreement outside the boundary band", agree, f"{samples} operators"))
     results.append(
         ("min_isotropic equals twice the block margin", worst_iso <= 1e-4, f"worst {worst_iso:.3e}")
+    )
+    results.append(
+        ("cone margin equals half of min_isotropic", worst_half <= 1e-4, f"worst {worst_half:.3e}")
     )
     refl = np.diag([1.0, 1.0, 1.0, -1.0])
     worst = 0.0
@@ -268,6 +275,23 @@ def _suite_averaging(samples, seed):
     results.append(
         (f"2T quadrature equals the projections ({n_exact} operators)", worst <= 1e-14, f"worst {worst:.3e}")
     )
+    # The blocks that average(..., seed=seed) consumes, against the moments
+    # of the uniform measure on S^3: E q = 0, E q q^T = I/4, and E q_a^2 q_b^2
+    # = 1/8 for a = b, 1/24 otherwise.  Plain sums, block by block.
+    s1, s2, s4 = np.zeros(4), np.zeros((4, 4)), np.zeros((4, 4))
+    for q in lambda2.haar_blocks(np.random.default_rng(seed), n_mc):
+        sq = q * q
+        s1 += q.sum(axis=0)
+        s2 += q.T @ q
+        s4 += sq.T @ sq
+    i4 = np.eye(4)
+    worst = max(np.abs(s1 / n_mc).max(), np.abs(s2 / n_mc - i4 / 4.0).max(),
+                np.abs(s4 / n_mc - np.where(i4 == 1.0, 1.0 / 8.0, 1.0 / 24.0)).max())
+    bound = 4.0 / np.sqrt(n_mc)
+    results.append(
+        (f"Haar draws have the uniform moments through degree four (n={n_mc})", worst <= bound,
+         f"worst {worst:.3e} bound {bound:.3e}")
+    )
     return results
 
 
@@ -281,7 +305,7 @@ _SUITES = {
 
 
 def cmd_verify(args):
-    _check_samples(args.samples)
+    _check_samples(args.samples, args.seed)
     results = _SUITES[args.suite](args.samples, args.seed)
     failed = 0
     for name, ok, detail in results:

@@ -185,8 +185,9 @@ def _quartic_form(r, sign):
 
 def _sample_values(k, q):
     # The objective of each row of q, the moving factor, through K.
+    # K is symmetric, so K m is (m^T K)^T.
     m = lambda2._monomials(q)
-    return np.vecdot(m @ k, m)
+    return np.einsum("pn,pn->n", k @ m, m)
 
 
 # The monomial of each ordered pair (a, b) and the weight that spreads it

@@ -53,7 +53,7 @@ def _moment_average(r, blocks, factor):
     rows = 0
     for q in blocks:
         q2 = lambda2._monomials(q)
-        g += q2.T @ q2
+        g += q2 @ q2.T
         rows += len(q)
     g /= rows
     c = _FACTOR_TABLES[factor]

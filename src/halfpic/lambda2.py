@@ -257,9 +257,10 @@ _MONO_A, _MONO_B = np.triu_indices(4)
 
 
 def _monomials(q):
-    # (n, 4) -> (n, 10)
-    m = q[:, _MONO_A]
-    m *= q[:, _MONO_B]
+    # (n, 4) -> (10, n), with contiguous rows when q is component-major
+    qt = q.T
+    m = qt[_MONO_A]
+    m *= qt[_MONO_B]
     return m
 
 
@@ -297,26 +298,29 @@ def _unit_rows(v):
     # The rows of an (n, 4) array divided by their norms, bit for bit as
     # v / np.linalg.norm(v, axis=1, keepdims=True): numpy reduces a 4-term
     # row in this sequential order, and every step here is elementwise, so a
-    # row's bits do not depend on the rows stacked with it.
-    x = v * v
-    s = x[:, 0] + x[:, 1]
-    s += x[:, 2]
-    s += x[:, 3]
-    return v / np.sqrt(s)[:, None]
+    # row's bits depend neither on the rows stacked with it nor on the
+    # layout, which the output keeps.
+    vt = v.T
+    x = vt * vt
+    s = x[0] + x[1]
+    s += x[2]
+    s += x[3]
+    return (vt / np.sqrt(s)).T
 
 
 def haar_quaternions(rng, n):
-    """n Haar-uniform unit quaternions, rows of an (n, 4) array.
+    """n Haar-uniform unit quaternions, rows of an (n, 4) array stored
+    component-major, so q.T is C-contiguous.
 
     The raw draw rng.standard_normal((n, 4)) with each row normalized, so it
     consumes the generator stream exactly like n successive calls of
     haar_quaternion, and a row normalized alone has the bits it has in the
     batch.
     """
-    return _unit_rows(rng.standard_normal((int(n), 4)))
+    return _unit_rows(np.asfortranarray(rng.standard_normal((int(n), 4))))
 
 
-# Rows per block of haar_blocks: the (HAAR_BLOCK, 10) monomials of a block
+# Rows per block of haar_blocks: the (10, HAAR_BLOCK) monomials of a block
 # take 80 KiB, under glibc's 128 KiB mmap threshold, so a blocked consumer
 # reuses heap memory instead of faulting fresh pages in on every call.
 HAAR_BLOCK = 1024

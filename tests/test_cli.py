@@ -226,6 +226,54 @@ def test_verify_rejects_samples_below_one(capsys, suite):
         assert f"--samples must be positive, got {samples}" in err
 
 
+@pytest.mark.parametrize("suite", sorted(cli._SUITES))
+def test_verify_rejects_a_negative_seed(capsys, suite):
+    # numpy's own refusal would not name the option
+    code, out, err = _run(capsys, "verify", "--suite", suite, "--seed", "-1")
+    assert code == 1 and out == ""
+    assert err == "error: --seed must be nonnegative, got -1\n"
+
+
+def _failed_lines(out):
+    return [line for line in out.splitlines() if line.startswith("FAIL")]
+
+
+def test_averaging_catches_a_biased_haar_sampler(capsys, monkeypatch):
+    # draws pulled towards 1 before normalising: the factor averages stay
+    # inside their 1/sqrt(n) band, the moments of the draws do not
+    name = "Haar draws have the uniform moments through degree four (n=20000)"
+    code, out, _ = _run(capsys, "verify", "--suite", "averaging")
+    assert code == 0 and f"PASS {name}: " in out
+    monkeypatch.setattr(
+        l2, "haar_quaternions",
+        lambda rng, n: l2._unit_rows(rng.standard_normal((int(n), 4)) + (0.15, 0.0, 0.0, 0.0)),
+    )
+    code, out, _ = _run(capsys, "verify", "--suite", "averaging")
+    assert code == 2
+    failed = _failed_lines(out)
+    assert len(failed) == 1 and failed[0].startswith(f"FAIL {name}: worst ")
+
+
+def test_pic_equivalence_catches_a_margin_kernel_off_the_top_eigenvalue(capsys, monkeypatch):
+    # a margin kernel that reads 0.99 l3 + 0.01 l2 as the top Weyl
+    # eigenvalue keeps every sign and leaves min_isotropic alone
+    def wrong(r):
+        s = 2.0 * np.trace(r, axis1=-2, axis2=-1)
+        ev = np.linalg.eigvalsh(cones._BASES_T @ r[..., None, :, :] @ cones._BASES)
+        m = s[..., None] / 6.0 - (0.99 * ev[..., -1] + 0.01 * ev[..., -2] - s[..., None] / 12.0)
+        return {"scal": s, "ic_plus": m[..., 0], "ic_minus": m[..., 1], "ic": m.min(axis=-1)}
+
+    name = "cone margin equals half of min_isotropic"
+    code, out, _ = _run(capsys, "verify", "--suite", "pic-equivalence")
+    assert code == 0 and f"PASS {name}: " in out
+    monkeypatch.setattr(cones, "_margins", wrong)
+    monkeypatch.setattr(flow, "_fast_margins", wrong)
+    code, out, _ = _run(capsys, "verify", "--suite", "pic-equivalence")
+    assert code == 2
+    failed = _failed_lines(out)
+    assert len(failed) == 1 and failed[0].startswith(f"FAIL {name}: worst ")
+
+
 def test_verify_failure_exits_two(capsys, monkeypatch):
     monkeypatch.setitem(
         cli._SUITES, "identities", lambda samples, seed: [("forced check", False, "detail")]
@@ -318,6 +366,12 @@ def test_average_rejects_samples_below_one(capsys, op_path):
         code, out, err = _run(capsys, "average", "--input", op_path, "--samples", samples)
         assert code == 1 and out == "", samples
         assert err == f"error: --samples must be positive, got {samples}\n"
+
+
+def test_average_rejects_a_negative_seed(capsys, op_path):
+    code, out, err = _run(capsys, "average", "--input", op_path, "--seed", "-1")
+    assert code == 1 and out == ""
+    assert err == "error: --seed must be nonnegative, got -1\n"
 
 
 def test_average_is_seed_deterministic(capsys, tmp_path):

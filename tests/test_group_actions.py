@@ -97,6 +97,14 @@ def test_average_is_the_mean_over_its_factor(factor, lift, n):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * (1.0 + np.linalg.norm(r)))
 
 
+@pytest.mark.parametrize("factor", ga.FACTORS)
+def test_moment_average_does_not_depend_on_the_block_layout(factor):
+    block = l2.haar_quaternions(np.random.default_rng(3), 1000)
+    r = _bianchi(5, norm=1.0)
+    want = ga._moment_average(r, [block], factor)
+    assert np.array_equal(ga._moment_average(r, [np.ascontiguousarray(block)], factor), want)
+
+
 def _stacked_reference(r, factor, n, seed):
     # the former route: one rotation and one induced 6x6 map per sample
     q = l2.haar_quaternions(np.random.default_rng(seed), n)

@@ -333,9 +333,30 @@ def test_row_normalizer_is_the_numpy_row_norm_bit_for_bit(rows):
     for scale in 10.0 ** np.arange(-150, 151, 25):
         v = scale * rng.standard_normal((rows, 4))
         want = v / np.linalg.norm(v, axis=1, keepdims=True)
-        assert np.array_equal(l2._unit_rows(v), want)
+        c, f = l2._unit_rows(v), l2._unit_rows(np.asfortranarray(v))
+        # the same bits in either layout, which the output keeps
+        assert np.array_equal(c, want) and np.array_equal(f, want)
+        assert c.flags.c_contiguous and f.flags.f_contiguous
         # a row alone has the bits it has in the stack
         assert np.array_equal(l2._unit_rows(v[-1:]), want[-1:])
+
+
+@pytest.mark.parametrize("n", [3, 1024])
+def test_haar_draw_is_component_major_and_the_numpy_row_norm(n):
+    q = l2.haar_quaternions(np.random.default_rng(n), n)
+    v = np.random.default_rng(n).standard_normal((n, 4))
+    assert q.shape == (n, 4) and q.flags.f_contiguous and q.T.flags.c_contiguous
+    assert np.array_equal(q, v / np.linalg.norm(v, axis=1, keepdims=True))
+
+
+def test_monomials_are_rows_for_any_layout():
+    q = l2.haar_quaternions(np.random.default_rng(4), 1000)
+    tiled = np.tile([1.0, 0.0, 0.0, 0.0], (7, 1))
+    for x in (q, np.ascontiguousarray(q), tiled):
+        want = (x[:, l2._MONO_A] * x[:, l2._MONO_B]).T
+        got = l2._monomials(x)
+        assert got.shape == (10, len(x))
+        assert np.array_equal(got, want)
 
 
 def test_haar_samples_have_near_zero_mean():
