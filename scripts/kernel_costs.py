@@ -3,7 +3,10 @@
 
 Each kernel runs in a fresh Python process: a few warm-up calls, then timed
 calls, each measured by process_time and by the minor page faults that
-resource.getrusage counts for the process.  A process that has already
+resource.getrusage counts for the process.  Each call's CPU time is scaled
+to the nominal host speed by bench/speed.py's HostSpeed probe, which runs
+between calls, never inside one, as in bench/run.py, so the drift of a
+shared host's speed divides out.  A process that has already
 freed a large mapping has raised glibc's dynamic mmap threshold, which hides
 the faults of later large temporaries, so the kernels never share one.
 With --rounds N every kernel runs in N such processes, the kernels in
@@ -25,10 +28,11 @@ reasons over every timed call goes to stderr after the table.  The
 quadratic rows are Q on upper-triangle coordinates, the kernel that each
 RK4 stage calls once, and the rk4_step row is one step of a stack of eight
 trajectories, with per-row step factors as the flow core passes them.
-The three 1024-row rows split the Haar layer into one block's parts:
-haar_quaternions draws and normalizes one lambda2.HAAR_BLOCK block,
-sample_values scores one block by the fixed quartic form K of the frame
-sampler, and moment is group_actions._moment_average on one block.
+The 1024-row rows split the Haar layer into one lambda2.HAAR_BLOCK block's
+parts: gaussian_rows is the raw draw, the floor that the frame sampler and
+the factor average share; haar_quaternions draws and normalizes a block;
+hopf_values scores one raw block by the fixed 3x3 form of the frame
+sampler; and moment is group_actions._moment_average on one block.
 The record row checks and samples one trip-free block of 4 steps of 8
 trajectories, with a sample callback that does nothing.  The two margin
 rows show the fixed and the per-operator cost of the margin kernel that the
@@ -52,6 +56,9 @@ import numpy as np
 
 import halfpic
 from halfpic import cones, curvature, flow, group_actions, lambda2
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
+from speed import HostSpeed  # noqa: E402
 
 
 POLISH_ROW = "polish(4096)"
@@ -95,6 +102,11 @@ def _haar_block():
     return lambda2.haar_quaternions(np.random.default_rng(0), lambda2.HAAR_BLOCK)
 
 
+def _hopf_values():
+    m = cones._hopf_form(cones._quartic_form(_r(), "+"))
+    return partial(cones._hopf_values, m, lambda2._gaussian_rows(np.random.default_rng(0), lambda2.HAAR_BLOCK))
+
+
 def _rk4_step():
     eight = _operators()[1][:8]
     coords = flow._coords(eight)
@@ -123,8 +135,9 @@ def _kernels():
         "min_isotropic(4096,-,unpolished)": lambda: partial(mi, _r(), "-", samples=4096, seed=0, polish=False),
         POLISH_ROW: _polish,
         "average(5e4)": lambda: partial(group_actions.average, _r(), "left", n=50_000, seed=0),
+        "gaussian_rows(1024)": lambda: partial(lambda2._gaussian_rows, np.random.default_rng(0), lambda2.HAAR_BLOCK),
         "haar_quaternions(1024)": lambda: partial(lambda2.haar_quaternions, np.random.default_rng(0), lambda2.HAAR_BLOCK),
-        "sample_values(1024)": lambda: partial(cones._sample_values, cones._quartic_form(_r(), "+"), _haar_block()),
+        "hopf_values(1024)": _hopf_values,
         "moment(1024)": lambda: partial(group_actions._moment_average, _r(), [_haar_block()], "left"),
         "invariance_probe(n=8)": lambda: partial(flow.invariance_probe, "ic_plus", n=8, seed=0),
         "integrate(10 steps)": lambda: partial(flow.integrate, _r(), flow.FlowParams(t_max=1e-2, dt=1e-3)),
@@ -138,22 +151,27 @@ def _kernels():
 
 
 def measure(name, calls, warmup):
-    """CPU ms quartiles and minor faults per call of one kernel, in this
-    process; for the polish row also the count of each "steps stop" outcome
-    of the timed calls."""
+    """CPU ms quartiles, at the nominal host speed, and minor faults per call
+    of one kernel, in this process; for the polish row also the count of
+    each "steps stop" outcome of the timed calls.  The faults are counted
+    around the calls alone, so the host-speed probe adds none."""
     kernel = _kernels()[name]()
     for _ in range(warmup):
         kernel()
-    times, outcomes = [], Counter()
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    speed = HostSpeed()
+    speed.sample(2)
+    timed, faults, outcomes = [], 0, Counter()
     for _ in range(calls):
+        speed.tick()
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         start = process_time()
         out = kernel()
-        times.append(process_time() - start)
+        timed.append((start, process_time() - start))
+        faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         if name == POLISH_ROW:
             outcomes[f"{out[2]} {out[3]}"] += 1
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
-    p25, p50, p75 = 1e3 * np.percentile(times, [25, 50, 75])
+    speed.sample()
+    p25, p50, p75 = 1e3 * np.percentile(speed.normalize(timed), [25, 50, 75])
     return {"cpu_ms_p50": p50, "cpu_ms_p25": p25, "cpu_ms_p75": p75,
             "faults_per_call": faults / calls, "outcomes": dict(outcomes)}
 

@@ -81,7 +81,9 @@ def shift_to_margin(r, cone, target):
 
 
 def default_boundary_tol(r):
-    return BOUNDARY_TOL * (1.0 + float(_norm(r)))
+    # Relative to the operator's scale-safe norm, so the band, like every
+    # margin, scales exactly under powers of two.
+    return BOUNDARY_TOL * float(_norm(r))
 
 
 @dataclass
@@ -183,11 +185,62 @@ def _quartic_form(r, sign):
     return (t @ r @ t.swapaxes(1, 2)).sum(axis=0)
 
 
-def _sample_values(k, q):
-    # The objective of each row of q, the moving factor, through K.
-    # K is symmetric, so K m is (m^T K)^T.
+def _hopf(v):
+    # The Hopf image h(v) = (a^2 + b^2 - c^2 - d^2, bc + ad, bd - ac) of each
+    # row v = (a, b, c, d) of an (n, 4) stack, which is v i v-bar with its
+    # last two components halved, as (3, n) rows, and s = |v|^2, from one
+    # pass of squares.  Rows stored component-major give contiguous rows.
+    vt = v.T
+    a, b, c, d = vt
+    x = vt * vt
+    s = x[0] + x[1]
+    t = x[2] + x[3]
+    h = np.empty((3, len(s)))
+    np.subtract(s, t, out=h[0])
+    np.multiply(b, c, out=h[1])
+    h[1] += a * d
+    np.multiply(b, d, out=h[2])
+    h[2] -= a * c
+    s += t
+    return h, s
+
+
+def _hopf_fit():
+    # The objective m(q)^T K m(q) is unchanged along the fibres q e^(ti) of
+    # the Hopf map (see _sphere_derivatives) and under q -> q j, which turns
+    # h into -h, so on unit quaternions it is h(q)^T M h(q) for a symmetric
+    # 3x3 M, linear in K.  M is solved at the six unit quaternions
+    # (1 + w0, 0, -w2, w1)/norm, which turn i into w = e1, e2, e3 and the
+    # three pairwise diagonals.  Returns the (9, 100) table of M.ravel() in
+    # K.ravel().
+    eye = np.eye(3)
+    w = np.vstack([eye, (eye[[0, 0, 1]] + eye[[1, 2, 2]]) / math.sqrt(2.0)])
+    q = lambda2._unit_rows(np.column_stack([1.0 + w[:, 0], np.zeros(6), -w[:, 2], w[:, 1]]))
+    h, _ = _hopf(q)
+    i, j = np.triu_indices(3)
+    a = (h[i] * h[j] * np.where(i == j, 1.0, 2.0)[:, None]).T
     m = lambda2._monomials(q)
-    return np.einsum("pn,pn->n", k @ m, m)
+    x = np.linalg.solve(a, (m[:, None] * m[None]).reshape(100, 6).T)
+    return x[[0, 1, 2, 1, 3, 4, 2, 4, 5]]
+
+
+_HOPF_FIT = _hopf_fit()
+
+
+def _hopf_form(k):
+    # The 3x3 form M of the quartic form K on the Hopf image, scaled by the
+    # power of two that brings max|M| into [1/2, 1): exact, so no argmin
+    # moves, and a raw score, up to |v|^4 |M|, cannot overflow.
+    m = (_HOPF_FIT @ k.ravel()).reshape(3, 3)
+    top = np.abs(m).max()
+    return np.ldexp(m, -np.frexp(top)[1]) if top > 0.0 else m
+
+
+def _hopf_values(m, v):
+    # The objective f(v/|v|) = h(v)^T M h(v) / |v|^4 of each raw row of an
+    # (n, 4) block stored component-major.
+    h, s = _hopf(v)
+    return np.einsum("pn,pn->n", m @ h, h) / (s * s)
 
 
 # The monomial of each ordered pair (a, b) and the weight that spreads it
@@ -262,18 +315,21 @@ def _newton_step(g1, g2, a, b, d, tol):
 def _best_sample(k, samples, seed):
     # The moving and the idle quaternion, (4,) each, of the best sampled
     # frame by the quartic form K (the first, on a tie).  The stream holds
-    # the moving factor's samples first, scored in lambda2.HAAR_BLOCK-row
-    # blocks as lambda2.haar_blocks draws them, then one draw for the idle
-    # factor: the objective does not depend on it, so any unit quaternion
-    # gives the winner's value.
+    # the moving factor's samples first, drawn raw in lambda2.HAAR_BLOCK-row
+    # blocks and scored through the 3x3 form of K on their Hopf images, then
+    # one draw for the idle factor: the objective does not depend on it, so
+    # any unit quaternion gives the winner's value.  Only the winning row is
+    # normalized, which gives it the bits of its haar_quaternions row.
     rng = np.random.default_rng(seed)
+    m = _hopf_form(k)
     best, low = None, np.inf
-    for q in lambda2.haar_blocks(rng, samples):
-        vals = _sample_values(k, q)
+    for start in range(0, samples, lambda2.HAAR_BLOCK):
+        v = lambda2._gaussian_rows(rng, min(lambda2.HAAR_BLOCK, samples - start))
+        vals = _hopf_values(m, v)
         j = int(np.argmin(vals))
         if best is None or vals[j] < low:
-            best, low = q[j], vals[j]
-    return best, lambda2.haar_quaternions(rng, 1)[0]
+            best, low = v[j].copy(), vals[j]  # a copy frees the block
+    return lambda2._unit_rows(best[None])[0], lambda2.haar_quaternions(rng, 1)[0]
 
 
 def _frame(sign, moving, idle):
@@ -291,8 +347,11 @@ def min_isotropic(r, sign="+", samples=10000, seed=0, polish=True):
     rotates the matching Hodge eigenspace (q1 for "+", q2 for "-") moves the
     objective, a quartic in that unit quaternion, so only it is sampled:
     `samples` Haar draws from the seed's stream, then one draw for the idle
-    factor.  The best sample's factor is refined by Newton steps on the unit
-    sphere, and the value is read once from the frame it gives.  The result
+    factor.  The objective is constant on the fibres of the Hopf map
+    S^3 -> S^2, so each raw Gaussian draw is scored by a 3x3 form on its
+    Hopf image, and only the winner (the first, on a tie) is normalized.
+    The best sample's factor is refined by Newton steps on the unit sphere,
+    and the value is read once from the frame it gives.  The result
     converges from above to twice the two-positivity margin of the matching
     Weyl-plus-scalar block.
     """

@@ -292,6 +292,10 @@ def _record(block, idx, last, params, sample):
     return ended, code
 
 
+# The step count t_max / dt at which _step_counts' rounding stops being exact.
+MAX_STEPS = 2.0**53
+
+
 def _step_counts(t_max, dt):
     """Full steps of each trajectory, and the mask of those that end with a
     partial step of t_max - full * dt: all but those whose t_max / dt lies
@@ -363,6 +367,11 @@ def _rk4(r, params, sample):
         raise ValueError("dt must be positive")
     if (dt >= params.t_max).any():
         raise ValueError("dt must be smaller than t_max")
+    if params.t_max >= dt.min() * MAX_STEPS:  # t_max / dt >= 2^53, compared exactly
+        low = float(dt.min())
+        raise ValueError(
+            f"dt = {low:.3g} needs {params.t_max / low:.3g} steps to reach t_max; the step count must stay below 2^53"
+        )
     for cone in params.margin_cones:
         cones._check_cone(cone)
     y = _coords(r)

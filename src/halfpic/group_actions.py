@@ -147,7 +147,7 @@ def maximality_witness(r):
     if np.linalg.det(vecs) < 0.0:
         vecs = vecs.copy()
         vecs[:, 2] = -vecs[:, 2]
-    scale_tie = EIGENVALUE_TIE_TOL * (1.0 + float(np.abs(mu).max()))
+    scale_tie = EIGENVALUE_TIE_TOL * float(np.abs(mu).max())
     if mu[1] - mu[0] <= scale_tie:
         g = np.eye(4)
         averaged = e

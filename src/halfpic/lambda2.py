@@ -317,12 +317,19 @@ def haar_quaternions(rng, n):
     haar_quaternion, and a row normalized alone has the bits it has in the
     batch.
     """
-    return _unit_rows(np.asfortranarray(rng.standard_normal((int(n), 4))))
+    return _unit_rows(_gaussian_rows(rng, n))
 
 
-# Rows per block of haar_blocks: the (10, HAAR_BLOCK) monomials of a block
-# take 80 KiB, under glibc's 128 KiB mmap threshold, so a blocked consumer
-# reuses heap memory instead of faulting fresh pages in on every call.
+def _gaussian_rows(rng, n):
+    # The raw draw of haar_quaternions: n rows of 4 standard normals, stored
+    # component-major.
+    return np.asfortranarray(rng.standard_normal((int(n), 4)))
+
+
+# Rows per block of haar_blocks and of the frame sampler's raw draws: the
+# (10, HAAR_BLOCK) monomials of a factor-average block take 80 KiB, under
+# glibc's 128 KiB mmap threshold, so a blocked consumer reuses heap memory
+# instead of faulting fresh pages in on every call.
 HAAR_BLOCK = 1024
 
 

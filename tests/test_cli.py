@@ -425,6 +425,23 @@ def test_module_invocation_end_to_end(tmp_path, child_env):
     )
 
 
+def test_flow_refuses_a_step_count_of_2_to_the_53_with_one_error_line(tmp_path, child_env):
+    # a tiny --dt, or the default dt of a huge operator: exit 1 and a single
+    # error line, with no numpy warning on stderr
+    tiny, huge = tmp_path / "tiny.json", tmp_path / "huge.json"
+    cv.write_operator(cv.model("sphere", 1.0), tiny)
+    cv.write_operator(cv.model("sphere", 1e20), huge)
+    for extra in ((str(tiny), "--dt", "1e-20"), (str(huge),)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "halfpic.cli", "flow", "--input", *extra],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: dt = "), proc.stderr
+        assert "2^53" in lines[0]
+
+
 def test_missing_subcommand_exits_one(child_env):
     proc = subprocess.run(
         [sys.executable, "-m", "halfpic.cli"], capture_output=True, text=True

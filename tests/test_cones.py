@@ -123,6 +123,16 @@ def _kernel_operators():
     return ops
 
 
+def test_membership_class_is_unchanged_under_powers_of_two():
+    # the band is relative to |R|, and scaling by 2^k scales every margin
+    # and the band exactly, so no operator crosses the band
+    ops = _kernel_operators() + [cv.model(name, 3.0) for name in cv.MODEL_NAMES]
+    for r in ops:
+        want = cones.membership(r).classification
+        for k in (-300, -30, 30, 300):
+            assert cones.membership(np.ldexp(r, k)).classification == want, k
+
+
 def test_margin_kernel_stacked_equals_per_operator():
     ops = _kernel_operators()
     stacked = cones._margins(np.array(ops))
@@ -326,6 +336,13 @@ def _reference_quartic_tensor(k):
     return ((d + d.transpose(0, 2, 1, 3) + d.transpose(0, 2, 3, 1)) / 3.0).reshape(16, 16)
 
 
+def _monomial_values(k, q):
+    # Reference route for the sampler's scores: m(q)^T K m(q) on the ten
+    # degree-two monomials of each row of q.
+    m = l2._monomials(q)
+    return np.einsum("pn,pq,qn->n", m, k, m)
+
+
 def test_quartic_tensor_equals_the_quartic_form(rng):
     # C is symmetric in its four slots and C(q, q, q, q) = m(q)^T K m(q);
     # the gathered C is bit for bit the transposed reference
@@ -342,9 +359,50 @@ def test_quartic_tensor_equals_the_quartic_form(rng):
             for p in perms:
                 np.testing.assert_allclose(c4.transpose(p), c4, rtol=0, atol=tol)
             h, f = cones._tensor_values(c, q)
-            np.testing.assert_allclose(f, cones._sample_values(kf, q), rtol=0, atol=tol)
+            np.testing.assert_allclose(f, _monomial_values(kf, q), rtol=0, atol=tol)
             want_h = np.einsum("abcd,na,nb->ncd", c4, q, q).reshape(-1, 16)
             np.testing.assert_allclose(h, want_h, rtol=0, atol=tol)
+
+
+def _fitted_form(r, sign):
+    # The 3x3 form of the quartic form on the Hopf image, unscaled.
+    return (cones._HOPF_FIT @ cones._quartic_form(r, sign).ravel()).reshape(3, 3)
+
+
+def _hopf_operators():
+    # random, boundary-shifted and 1e+-6-norm operators
+    ops = [_bianchi(800 + k, norm=norm) for k, norm in enumerate([1.0, 1.0, 1e6, 1e-6])]
+    for k, cone in enumerate(("ic_plus", "ic_minus", "ic")):
+        ops.append(cones.shift_to_margin(_bianchi(810 + k, norm=1.0), cone, 0.0))
+    rng = np.random.default_rng(820)
+    g = l2.quat_to_rot(l2.haar_quaternion(rng), l2.haar_quaternion(rng))
+    return ops + [cv.act(g, cv.model("cp2", 3.0)), cv.act(g, cv.model("cp2bar", 3.0))]
+
+
+def test_hopf_form_equals_the_quartic_form(rng):
+    # m(q)^T K m(q) = h(q)^T M h(q) on unit rows, and on raw rows v the
+    # score h(v)^T M h(v) / |v|^4 is the value at v / |v|
+    v = l2._gaussian_rows(rng, 256)
+    q = l2._unit_rows(v)
+    for r in _hopf_operators():
+        tol = 1e-14 * (1.0 + np.linalg.norm(r))
+        for sign in ("+", "-"):
+            m = _fitted_form(r, sign)
+            assert np.array_equal(m, m.T)
+            want = _monomial_values(cones._quartic_form(r, sign), q)
+            for rows in (q, v):
+                np.testing.assert_allclose(cones._hopf_values(m, rows), want, rtol=0, atol=tol)
+
+
+def test_hopf_form_is_scaled_by_an_exact_power_of_two():
+    for r in _hopf_operators() + [np.ldexp(_bianchi(830, norm=1.0), 1018)]:
+        for sign in ("+", "-"):
+            m, scaled = _fitted_form(r, sign), cones._hopf_form(cones._quartic_form(r, sign))
+            top = np.abs(scaled).max()
+            assert 0.5 <= top < 1.0
+            assert np.array_equal(np.ldexp(scaled, np.frexp(np.abs(m).max())[1]), m)
+    zero = np.zeros((10, 10))
+    assert np.array_equal(cones._hopf_form(zero), np.zeros((3, 3)))
 
 
 def test_quartic_sampler_equals_the_pair_values(rng):
@@ -354,7 +412,7 @@ def test_quartic_sampler_equals_the_pair_values(rng):
         r = _bianchi(400 + k, norm=norm)
         tol = 1e-14 * (1.0 + np.linalg.norm(r))
         for sign, flip in (("+", 1.0), ("-", -1.0)):
-            got = cones._sample_values(cones._quartic_form(r, sign), q1 if sign == "+" else q2)
+            got = cones._hopf_values(_fitted_form(r, sign), q1 if sign == "+" else q2)
             frames = l2._quat_to_rot_batch(q1, q2)
             np.testing.assert_allclose(got, cones._pair_values(r, frames, flip), rtol=0, atol=tol)
             moved = l2._quat_to_rot_batch(q1, other) if sign == "+" else l2._quat_to_rot_batch(other, q2)
@@ -395,13 +453,17 @@ def test_unpolished_value_is_the_best_sampled_frame():
 
 
 def _reference_best_sample(r, sign, samples, seed):
-    # Reference: the moving factor in one haar_quaternions draw, scored in
-    # one call.
+    # Reference: every frame of one full haar_quaternions draw evaluated by
+    # _pair_values.  Returns the best frame, its value read from that frame
+    # alone, and whether the best value is clear of the next one by
+    # 1e-12 (1 + |R|).
     q1, q2 = _reference_draw(sign, samples, seed)
-    k = cones._quartic_form(r, sign)
-    best = int(np.argmin(cones._sample_values(k, q1 if sign == "+" else q2)))
+    flip = cones._FLIPS[sign]
+    vals = cones._pair_values(r, l2._quat_to_rot_batch(q1, q2), flip)
+    best = int(np.argmin(vals))
+    clear = samples == 1 or np.partition(vals, 1)[1] - vals[best] > 1e-12 * (1.0 + np.linalg.norm(r))
     g = l2._quat_to_rot_batch(q1[best : best + 1], q2[best : best + 1])
-    return g[0], float(cones._pair_values(r, g, 1.0 if sign == "+" else -1.0)[0])
+    return g[0], float(cones._pair_values(r, g, flip)[0]), clear
 
 
 def _sampled_frame(r, sign, samples, seed):
@@ -413,26 +475,32 @@ def _sampled_frame(r, sign, samples, seed):
 
 @pytest.mark.parametrize("samples", [1, 16, 1000, 1023, 1024, 1025, 4096, 10_000])
 def test_blocked_best_sample_equals_one_full_draw(samples):
+    # the winner is the best frame of the full draw bit for bit; each best
+    # value here is clear of the next one, so rounding cannot decide it
     ops = [_bianchi(600 + k, norm=norm) for k, norm in enumerate([1.0, 1e6, 1e-6])]
     ops.append(cones.shift_to_margin(_bianchi(603, norm=1.0), "ic_minus", 0.0))
     for k, r in enumerate(ops):
         for sign in ("+", "-"):
             g, f = _sampled_frame(r, sign, samples, k)
-            want_g, want_f = _reference_best_sample(r, sign, samples, k)
+            want_g, want_f, clear = _reference_best_sample(r, sign, samples, k)
+            assert clear
             assert np.array_equal(g, want_g)
             assert f == want_f
 
 
 @pytest.mark.parametrize("samples", [1, 1023, 1024, 1025, 4096])
 def test_best_sample_draws_the_moving_factor_then_one_idle_draw(samples):
+    # the stream holds every sample first, then one idle draw; the winner is
+    # one sampled row with its haar_quaternions bits, the first on a tie
     r = _bianchi(610, norm=1.0)
-    for sign in ("+", "-"):
-        k = cones._quartic_form(r, sign)
+    for k in (cones._quartic_form(r, "+"), cones._quartic_form(r, "-"), np.zeros((10, 10))):
         moving, idle = cones._best_sample(k, samples, samples)
         rng = np.random.default_rng(samples)
         draw = l2.haar_quaternions(rng, samples)
-        assert np.array_equal(moving, draw[np.argmin(cones._sample_values(k, draw))])
+        assert (draw == moving).all(axis=1).any()
         assert np.array_equal(idle, l2.haar_quaternions(rng, 1)[0])
+    # the zero form ties every sample, across blocks too, and the first wins
+    assert np.array_equal(moving, draw[0])
 
 
 # A unit-norm operator shifted to within 1e-6 of the minus boundary whose minus
@@ -535,13 +603,15 @@ def test_the_zero_operator_stops_the_polish_at_once():
 
 def test_min_isotropic_is_homogeneous_under_powers_of_two():
     # scaling by 2^k is exact in every step of the sampler and the polish,
-    # and each of their tests (the polish stop too) scales with the operator
+    # and each of their tests (the polish stop too) scales with the operator;
+    # at 2^1018 the raw sample scores overflow unless the sampler's 3x3 form
+    # is rescaled
     for seed in range(3):
         r = _bianchi(700 + seed, norm=1.0)
         for sign in ("+", "-"):
             for polish in (True, False):
                 v = cones.min_isotropic(r, sign, samples=256, seed=seed, polish=polish)
-                for k in (-300, -60, -3, 5, 60, 300):
+                for k in (-1000, -300, -60, -30, -3, 5, 30, 60, 300, 1000, 1018):
                     got = cones.min_isotropic(np.ldexp(r, k), sign, samples=256, seed=seed, polish=polish)
                     assert got == np.ldexp(v, k), (seed, sign, polish, k)
 

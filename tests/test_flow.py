@@ -409,6 +409,22 @@ def test_integrate_parameter_validation():
         assert flow.integrate(r, params).termination == "completed"
 
 
+def test_integrate_refuses_a_step_count_of_2_to_the_53():
+    # from 2^53 steps on, the step count is not exact (from 2^63 on it
+    # wraps); both a tiny dt and the default dt at a huge scalar curvature
+    # are refused before any step
+    r = cv.model("sphere", 1.0)
+    for r0, params in (
+        (r, flow.FlowParams(t_max=0.1, dt=1e-20)),
+        (cv.model("sphere", 1e20), flow.FlowParams(t_max=0.1)),
+        (r, flow.FlowParams(t_max=0.1, dt=1e-320)),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"dt = .* steps to reach t_max; .* below 2\^53"):
+                flow.integrate(r0, params)
+
+
 def test_default_dt_shrinks_with_curvature():
     assert flow.default_dt(np.eye(6)) == pytest.approx(1e-3 / 12.0)
     assert flow.default_dt(np.zeros((6, 6))) == pytest.approx(1e-3)

@@ -305,7 +305,7 @@ def test_witness_turns_the_selfdual_forms_a_quarter_about_the_top_eigenvector():
         assert np.linalg.det(g) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("k", [-20, -5, 7, 50, 200, 300])
+@pytest.mark.parametrize("k", [-300, -200, -60, -30, -20, -5, 7, 50, 200, 300])
 def test_witness_is_exactly_homogeneous_under_powers_of_two(k):
     # scaling by 2^k changes no eigenvector and scales every eigenvalue and
     # sum exactly, so g keeps its bits and the witness scales bit for bit

@@ -347,6 +347,9 @@ def test_haar_draw_is_component_major_and_the_numpy_row_norm(n):
     v = np.random.default_rng(n).standard_normal((n, 4))
     assert q.shape == (n, 4) and q.flags.f_contiguous and q.T.flags.c_contiguous
     assert np.array_equal(q, v / np.linalg.norm(v, axis=1, keepdims=True))
+    # the raw draw the frame sampler scores: the same stream, component-major
+    raw = l2._gaussian_rows(np.random.default_rng(n), n)
+    assert np.array_equal(raw, v) and raw.flags.f_contiguous
 
 
 def test_monomials_are_rows_for_any_layout():

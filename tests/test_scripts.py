@@ -50,8 +50,8 @@ def test_kernel_costs_runs(capsys, monkeypatch):
     assert lines[0] == KERNEL_COSTS_HEADER
     assert [row[0] for row in _kernel_cost_rows(lines)] == [
         "min_isotropic(4096)", "min_isotropic(4096,-)", "min_isotropic(4096,unpolished)",
-        "min_isotropic(4096,-,unpolished)", "polish(4096)", "average(5e4)", "haar_quaternions(1024)",
-        "sample_values(1024)", "moment(1024)", "invariance_probe(n=8)",
+        "min_isotropic(4096,-,unpolished)", "polish(4096)", "average(5e4)", "gaussian_rows(1024)",
+        "haar_quaternions(1024)", "hopf_values(1024)", "moment(1024)", "invariance_probe(n=8)",
         "integrate(10 steps)", "quadratic(8 operators)", "quadratic(1 operator)",
         "rk4_step(8 operators)", "record(4 steps x 8)", "margins(1 operator)", "margins(32 operators)",
     ]
