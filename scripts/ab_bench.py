@@ -19,7 +19,7 @@ The JSON written to --out (stdout by default) has a fixed schema:
     command, parent, change, host, pairs, seconds, order,
     summary: {workload: {metric: {unit, better, parent_median,
         parent_q1_q3, change_median, change_q1_q3, change_wins, pairs,
-        hl_shift, sign_test_p, aa_rel_diff}}},
+        hl_shift, sign_test_p, aa_rel_diff, gain_shown}}},
     runs: {workload: [{seed, first, parent, change}]},
     aa: {workload: {seed, parent, parent_again}}
 
@@ -32,7 +32,9 @@ of the per-pair differences d = change - parent, in the metric's unit.
 sign_test_p is the two-sided binomial sign test of those differences: the
 chance that a fair coin splits the untied pairs at least as unevenly, 1.0
 when every pair ties.  aa_rel_diff is (parent_again - parent) / parent of
-the A/A pair.
+the A/A pair.  gain_shown applies the claim rule for a gain: the change is
+better in at least 9 of every 10 pairs and its median is better than the
+parent's by more than the parent's q3 - q1.
 """
 
 from __future__ import annotations
@@ -99,6 +101,15 @@ def _sign_test_p(d):
     return min(1.0, 2.0 * sum(math.comb(n, i) for i in range(k + 1)) / 2.0 ** n)
 
 
+def _gain_shown(parent, change, better):
+    """The claim rule on paired runs: the change wins at least 9 of every 10
+    pairs and beats the parent's median by more than the parent's IQR."""
+    sign = 1.0 if better == "higher" else -1.0
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    q1, q3 = np.percentile(parent, [25, 75])
+    return bool(10 * wins >= 9 * len(parent) and sign * (np.median(change) - np.median(parent)) > q3 - q1)
+
+
 def _summary(runs, aa, spec):
     out = {}
     for m in spec:
@@ -119,6 +130,7 @@ def _summary(runs, aa, spec):
             "hl_shift": _hl_shift(diff),
             "sign_test_p": _sign_test_p(diff),
             "aa_rel_diff": (again - first) / first if first else 0.0,
+            "gain_shown": _gain_shown(parent, change, m["better"]),
         }
     return out
 

@@ -28,11 +28,11 @@ reasons over every timed call goes to stderr after the table.  The
 quadratic rows are Q on upper-triangle coordinates, the kernel that each
 RK4 stage calls once, and the rk4_step row is one step of a stack of eight
 trajectories, with per-row step factors as the flow core passes them.
-The 1024-row rows split the Haar layer into one lambda2.HAAR_BLOCK block's
-parts: gaussian_rows is the raw draw, the floor that the frame sampler and
-the factor average share; haar_quaternions draws and normalizes a block;
-hopf_values scores one raw block by the fixed 3x3 form of the frame
-sampler; and moment is group_actions._moment_average on one block.
+The 1024-row rows time one lambda2.HAAR_BLOCK block of each sampler:
+sphere_rows is the frame sampler's draw of uniform points of S^2 and
+sphere_scores scores one such block by a fixed 3x3 form; haar_quaternions
+draws and normalizes a block of the factor average, and moment is
+group_actions._moment_average on one block.
 The record row checks and samples one trip-free block of 4 steps of 8
 trajectories, with a sample callback that does nothing.  The two margin
 rows show the fixed and the per-operator cost of the margin kernel that the
@@ -71,7 +71,7 @@ def _polish_starts(rng):
     for k in range(POLISH_STARTS):
         r = curvature.random_bianchi(rng, norm=1.0)
         kf = cones._quartic_form(r, "+-"[k % 2])
-        starts.append((r, cones._quartic_tensor(kf), cones._best_sample(kf, 4096, k)[0]))
+        starts.append((r, cones._quartic_tensor(kf), cones._best_sample(kf, 4096, k)))
     return starts
 
 
@@ -102,9 +102,10 @@ def _haar_block():
     return lambda2.haar_quaternions(np.random.default_rng(0), lambda2.HAAR_BLOCK)
 
 
-def _hopf_values():
-    m = cones._hopf_form(cones._quartic_form(_r(), "+"))
-    return partial(cones._hopf_values, m, lambda2._gaussian_rows(np.random.default_rng(0), lambda2.HAAR_BLOCK))
+def _sphere_scores():
+    m = cones._hopf_form(cones._quartic_form(_r(), "+")) * cones._SPHERE_SCALE
+    w = lambda2._sphere_rows(np.random.default_rng(0), lambda2.HAAR_BLOCK)
+    return partial(cones._sphere_scores, m, w)
 
 
 def _rk4_step():
@@ -135,9 +136,9 @@ def _kernels():
         "min_isotropic(4096,-,unpolished)": lambda: partial(mi, _r(), "-", samples=4096, seed=0, polish=False),
         POLISH_ROW: _polish,
         "average(5e4)": lambda: partial(group_actions.average, _r(), "left", n=50_000, seed=0),
-        "gaussian_rows(1024)": lambda: partial(lambda2._gaussian_rows, np.random.default_rng(0), lambda2.HAAR_BLOCK),
+        "sphere_rows(1024)": lambda: partial(lambda2._sphere_rows, np.random.default_rng(0), lambda2.HAAR_BLOCK),
         "haar_quaternions(1024)": lambda: partial(lambda2.haar_quaternions, np.random.default_rng(0), lambda2.HAAR_BLOCK),
-        "hopf_values(1024)": _hopf_values,
+        "sphere_scores(1024)": _sphere_scores,
         "moment(1024)": lambda: partial(group_actions._moment_average, _r(), [_haar_block()], "left"),
         "invariance_probe(n=8)": lambda: partial(flow.invariance_probe, "ic_plus", n=8, seed=0),
         "integrate(10 steps)": lambda: partial(flow.integrate, _r(), flow.FlowParams(t_max=1e-2, dt=1e-3)),
@@ -177,7 +178,7 @@ def measure(name, calls, warmup):
 
 
 def _histogram(outcomes):
-    # "2 gradient: 40, 3 no_descent: 10", fewest steps first
+    # "2 gradient: 40, 3 rounding: 10", fewest steps first
     items = sorted(outcomes.items(), key=lambda kv: (int(kv[0].split()[0]), kv[0]))
     return ", ".join(f"{k}: {n}" for k, n in items)
 

@@ -185,38 +185,36 @@ def _quartic_form(r, sign):
     return (t @ r @ t.swapaxes(1, 2)).sum(axis=0)
 
 
-def _hopf(v):
-    # The Hopf image h(v) = (a^2 + b^2 - c^2 - d^2, bc + ad, bd - ac) of each
-    # row v = (a, b, c, d) of an (n, 4) stack, which is v i v-bar with its
-    # last two components halved, as (3, n) rows, and s = |v|^2, from one
-    # pass of squares.  Rows stored component-major give contiguous rows.
-    vt = v.T
-    a, b, c, d = vt
-    x = vt * vt
-    s = x[0] + x[1]
-    t = x[2] + x[3]
-    h = np.empty((3, len(s)))
-    np.subtract(s, t, out=h[0])
-    np.multiply(b, c, out=h[1])
-    h[1] += a * d
-    np.multiply(b, d, out=h[2])
-    h[2] -= a * c
-    s += t
-    return h, s
+def _hopf(q):
+    # The Hopf image h(q) = (a^2 + b^2 - c^2 - d^2, bc + ad, bd - ac) of each
+    # row q = (a, b, c, d) of an (n, 4) stack of unit quaternions, which is
+    # q i q-bar with its last two components halved, as (3, n) rows.
+    a, b, c, d = q.T
+    return np.stack([(a * a + b * b) - (c * c + d * d), b * c + a * d, b * d - a * c])
+
+
+def _lift(w0, w1, w2):
+    # A unit quaternion q with q i q-bar = w for a unit point w of the
+    # 2-sphere, so h(q) = (w0, w1/2, w2/2): (1 + w0, 0, -w2, w1) for w0 >= 0
+    # and otherwise (-w2, w1, 1 - w0, 0), the same chart at -w times j on the
+    # right, each normalized in Python floats in _unit_rows' order, so that
+    # neither chart divides by a norm near zero.
+    x = (1.0 + w0, 0.0, -w2, w1) if w0 >= 0.0 else (-w2, w1, 1.0 - w0, 0.0)
+    n = math.sqrt(((x[0] * x[0] + x[1] * x[1]) + x[2] * x[2]) + x[3] * x[3])
+    return np.array([x[0] / n, x[1] / n, x[2] / n, x[3] / n])
 
 
 def _hopf_fit():
     # The objective m(q)^T K m(q) is unchanged along the fibres q e^(ti) of
     # the Hopf map (see _sphere_derivatives) and under q -> q j, which turns
     # h into -h, so on unit quaternions it is h(q)^T M h(q) for a symmetric
-    # 3x3 M, linear in K.  M is solved at the six unit quaternions
-    # (1 + w0, 0, -w2, w1)/norm, which turn i into w = e1, e2, e3 and the
-    # three pairwise diagonals.  Returns the (9, 100) table of M.ravel() in
-    # K.ravel().
+    # 3x3 M, linear in K.  M is solved at the lifts of the six points w =
+    # e1, e2, e3 and the three pairwise diagonals.  Returns the (9, 100)
+    # table of M.ravel() in K.ravel().
     eye = np.eye(3)
     w = np.vstack([eye, (eye[[0, 0, 1]] + eye[[1, 2, 2]]) / math.sqrt(2.0)])
-    q = lambda2._unit_rows(np.column_stack([1.0 + w[:, 0], np.zeros(6), -w[:, 2], w[:, 1]]))
-    h, _ = _hopf(q)
+    q = np.array([_lift(*p) for p in w.tolist()])
+    h = _hopf(q)
     i, j = np.triu_indices(3)
     a = (h[i] * h[j] * np.where(i == j, 1.0, 2.0)[:, None]).T
     m = lambda2._monomials(q)
@@ -230,17 +228,24 @@ _HOPF_FIT = _hopf_fit()
 def _hopf_form(k):
     # The 3x3 form M of the quartic form K on the Hopf image, scaled by the
     # power of two that brings max|M| into [1/2, 1): exact, so no argmin
-    # moves, and a raw score, up to |v|^4 |M|, cannot overflow.
+    # moves, and no score, up to 3 max|M| on unit points, can overflow.
     m = (_HOPF_FIT @ k.ravel()).reshape(3, 3)
     top = np.abs(m).max()
     return np.ldexp(m, -np.frexp(top)[1]) if top > 0.0 else m
 
 
-def _hopf_values(m, v):
-    # The objective f(v/|v|) = h(v)^T M h(v) / |v|^4 of each raw row of an
-    # (n, 4) block stored component-major.
-    h, s = _hopf(v)
-    return np.einsum("pn,pn->n", m @ h, h) / (s * s)
+# D M D for D = diag(1, 1/2, 1/2): the form of _hopf_form on the unit
+# points w = q i q-bar of the 2-sphere, whose Hopf image is D w.  Exact.
+_SPHERE_SCALE = np.outer([1.0, 0.5, 0.5], [1.0, 0.5, 0.5])
+
+
+def _sphere_scores(m, w):
+    # w^T M w for each point w of a (3, n) block and a symmetric 3x3 M.
+    x = m @ w
+    x *= w
+    vals = x[0] + x[1]
+    vals += x[2]
+    return vals
 
 
 # The monomial of each ordered pair (a, b) and the weight that spreads it
@@ -313,23 +318,23 @@ def _newton_step(g1, g2, a, b, d, tol):
 
 
 def _best_sample(k, samples, seed):
-    # The moving and the idle quaternion, (4,) each, of the best sampled
-    # frame by the quartic form K (the first, on a tie).  The stream holds
-    # the moving factor's samples first, drawn raw in lambda2.HAAR_BLOCK-row
-    # blocks and scored through the 3x3 form of K on their Hopf images, then
-    # one draw for the idle factor: the objective does not depend on it, so
-    # any unit quaternion gives the winner's value.  Only the winning row is
-    # normalized, which gives it the bits of its haar_quaternions row.
+    # The moving quaternion, (4,), of the best sampled frame by the quartic
+    # form K (the first, on a tie).  The objective depends on the moving
+    # factor only through its Hopf image, and the Hopf map pushes the Haar
+    # measure of S^3 to the uniform measure of S^2, so the stream holds
+    # `samples` uniform points w of the 2-sphere, drawn in
+    # lambda2.HAAR_BLOCK-row blocks, each scored as w^T (D M D) w by the 3x3
+    # form M of K; only the winner is lifted to a quaternion.
     rng = np.random.default_rng(seed)
-    m = _hopf_form(k)
+    m = _hopf_form(k) * _SPHERE_SCALE
     best, low = None, np.inf
     for start in range(0, samples, lambda2.HAAR_BLOCK):
-        v = lambda2._gaussian_rows(rng, min(lambda2.HAAR_BLOCK, samples - start))
-        vals = _hopf_values(m, v)
+        w = lambda2._sphere_rows(rng, min(lambda2.HAAR_BLOCK, samples - start))
+        vals = _sphere_scores(m, w)
         j = int(np.argmin(vals))
         if best is None or vals[j] < low:
-            best, low = v[j].copy(), vals[j]  # a copy frees the block
-    return lambda2._unit_rows(best[None])[0], lambda2.haar_quaternions(rng, 1)[0]
+            best, low = w[:, j].tolist(), vals[j]
+    return _lift(*best)
 
 
 def _frame(sign, moving, idle):
@@ -345,29 +350,35 @@ def min_isotropic(r, sign="+", samples=10000, seed=0, polish=True):
     Frames x -> q1 x q2^(-1) are Haar-uniform on SO(4); the minus cone
     composes them with an orientation flip.  Only the quaternion factor that
     rotates the matching Hodge eigenspace (q1 for "+", q2 for "-") moves the
-    objective, a quartic in that unit quaternion, so only it is sampled:
-    `samples` Haar draws from the seed's stream, then one draw for the idle
-    factor.  The objective is constant on the fibres of the Hopf map
-    S^3 -> S^2, so each raw Gaussian draw is scored by a 3x3 form on its
-    Hopf image, and only the winner (the first, on a tie) is normalized.
-    The best sample's factor is refined by Newton steps on the unit sphere,
-    and the value is read once from the frame it gives.  The result
-    converges from above to twice the two-positivity margin of the matching
-    Weyl-plus-scalar block.
+    objective, a quartic in that unit quaternion, and only through its Hopf
+    image, a point of S^2, so only that point is sampled: `samples` uniform
+    points of S^2 from the seed's stream, each scored by a 3x3 form, and the
+    winner (the first, on a tie) is lifted to a unit quaternion.  The
+    identity is the idle factor.  The best sample's factor is refined by
+    Newton steps on the unit sphere, and the value is read once from the
+    frame it gives.  The result converges from above to twice the
+    two-positivity margin of the matching Weyl-plus-scalar block.
     """
     r = require_bianchi_valid(r)
     _check_sign(sign)
     n = _check_count(samples, "samples")
     k = _quartic_form(r, sign)
-    q, idle = _best_sample(k, n, seed)
+    q = _best_sample(k, n, seed)
     if polish:
         q = _polish_quaternion(r, _quartic_tensor(k), q)[0]
-    return float(_pair_values(r, _frame(sign, q, idle), _FLIPS[sign])[0])
+    return float(_pair_values(r, _frame(sign, q, lambda2.QUAT_ONE), _FLIPS[sign])[0])
 
 
 POLISH_STEPS = 1000
 # Trial lengths of the polish's line search, tried at once.
 _LINE_STEPS = 0.5 ** np.arange(4)
+# The polish stops once its Newton decrement |g.d|/2, the descent that the
+# step predicts, is at most ROUNDING_STOP (|R| + |f|): each f is read
+# through 16-term contractions of C, which by the probabilistic bound
+# sqrt(n) u of an n-term sum (u = 2^-53) round by about sqrt(16) u = 4u of
+# |R| + |f| (4.3u at most over 80000 random evaluations), so below that the
+# line search's descent test compares rounding noise.
+ROUNDING_STOP = 4.0 * 2.0 ** -53
 
 
 def _polish_quaternion(r, c, q):
@@ -380,16 +391,21 @@ def _polish_quaternion(r, c, q):
     # not depend on the operator's scale, and the zero operator stops at
     # once.
     # Returns the quaternion, its value f, the number of steps taken and why
-    # the descent stopped: "gradient", "no_descent" or "cap".
+    # the descent stopped: "gradient", "rounding" (see ROUNDING_STOP),
+    # "no_descent" or "cap".
     scale = float(_norm(r))
     h, f = _tensor_values(c, q[None])
     h, fval = h[0], float(f[0])
     for step in range(POLISH_STEPS):
         (g1, g2, a, b, d), e = _sphere_derivatives(h, q, fval)
-        tol = 1e-11 * (scale + abs(fval))
+        size = scale + abs(fval)
+        tol = 1e-11 * size
         if math.hypot(g1, g2) <= tol:
             return q, fval, step, "gradient"
         d1, d2 = _newton_step(g1, g2, a, b, d, tol)
+        # g over |R| + |f| first: at 2^-1000 the product g.d is subnormal
+        if 0.5 * abs(g1 / size * d1 + g2 / size * d2) <= ROUNDING_STOP:
+            return q, fval, step, "rounding"
         trials = lambda2._unit_rows(q + _LINE_STEPS[:, None] * (e @ (d1, d2)))
         hs, vals = _tensor_values(c, trials)
         slope = 1e-4 * (g1 * d1 + g2 * d2)

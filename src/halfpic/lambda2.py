@@ -317,16 +317,36 @@ def haar_quaternions(rng, n):
     haar_quaternion, and a row normalized alone has the bits it has in the
     batch.
     """
-    return _unit_rows(_gaussian_rows(rng, n))
+    return _unit_rows(np.asfortranarray(rng.standard_normal((int(n), 4))))
 
 
-def _gaussian_rows(rng, n):
-    # The raw draw of haar_quaternions: n rows of 4 standard normals, stored
-    # component-major.
-    return np.asfortranarray(rng.standard_normal((int(n), 4)))
+def _sphere_rows(rng, n):
+    # n uniform points w = (rho cos(phi), rho sin(phi), z) of the unit
+    # 2-sphere as component-major (3, n) rows, from one draw of n uniform
+    # pairs (u, v): z = 2u - 1 is uniform on [-1, 1] by Archimedes' hat-box
+    # theorem, phi = 2 pi v and rho = sqrt(1 - z^2).  The pairs are drawn
+    # as rows, so blocks of draws concatenate to the one-batch draw.
+    # sin(phi) is taken as sqrt(1 - cos(phi)^2) with the sign of pi - phi,
+    # cheaper than np.sin, and every row is unit to rounding.
+    u, v = rng.random((int(n), 2)).T
+    w = np.empty((3, len(u)))
+    z = w[2]
+    np.multiply(u, 2.0, out=z)
+    z -= 1.0
+    rho = z * z
+    np.subtract(1.0, rho, out=rho)
+    np.sqrt(rho, out=rho)
+    phi = v * (2.0 * np.pi)
+    c = np.cos(phi, out=w[0])
+    s = c * c
+    np.subtract(1.0, s, out=s)
+    np.sqrt(s, out=s)
+    np.copysign(s, np.pi - phi, out=w[1])
+    w[:2] *= rho
+    return w
 
 
-# Rows per block of haar_blocks and of the frame sampler's raw draws: the
+# Rows per block of haar_blocks and of the frame sampler's draws: the
 # (10, HAAR_BLOCK) monomials of a factor-average block take 80 KiB, under
 # glibc's 128 KiB mmap threshold, so a blocked consumer reuses heap memory
 # instead of faulting fresh pages in on every call.

@@ -379,19 +379,22 @@ def _hopf_operators():
     return ops + [cv.act(g, cv.model("cp2", 3.0)), cv.act(g, cv.model("cp2bar", 3.0))]
 
 
+def _hopf_values(m, q):
+    # h(q)^T M h(q) on the Hopf image of each unit row of q
+    h = cones._hopf(q)
+    return np.einsum("pn,pq,qn->n", h, m, h)
+
+
 def test_hopf_form_equals_the_quartic_form(rng):
-    # m(q)^T K m(q) = h(q)^T M h(q) on unit rows, and on raw rows v the
-    # score h(v)^T M h(v) / |v|^4 is the value at v / |v|
-    v = l2._gaussian_rows(rng, 256)
-    q = l2._unit_rows(v)
+    # m(q)^T K m(q) = h(q)^T M h(q) on unit rows
+    q = l2.haar_quaternions(rng, 256)
     for r in _hopf_operators():
         tol = 1e-14 * (1.0 + np.linalg.norm(r))
         for sign in ("+", "-"):
             m = _fitted_form(r, sign)
             assert np.array_equal(m, m.T)
             want = _monomial_values(cones._quartic_form(r, sign), q)
-            for rows in (q, v):
-                np.testing.assert_allclose(cones._hopf_values(m, rows), want, rtol=0, atol=tol)
+            np.testing.assert_allclose(_hopf_values(m, q), want, rtol=0, atol=tol)
 
 
 def test_hopf_form_is_scaled_by_an_exact_power_of_two():
@@ -405,26 +408,54 @@ def test_hopf_form_is_scaled_by_an_exact_power_of_two():
     assert np.array_equal(cones._hopf_form(zero), np.zeros((3, 3)))
 
 
+def _lifted(w):
+    # every point of a (3, n) block of the 2-sphere lifted, as (n, 4) rows
+    return np.array([cones._lift(*p) for p in w.T.tolist()])
+
+
 def test_quartic_sampler_equals_the_pair_values(rng):
+    # the score of a point w of S^2 is the value of the frames of its lift;
     # the "+" value depends on q1 alone and the "-" value on q2 alone
-    q1, q2, other = (l2.haar_quaternions(rng, 64) for _ in range(3))
+    w = l2._sphere_rows(rng, 64)
+    moving, other = _lifted(w), l2.haar_quaternions(rng, 64)
+    ident = np.tile(l2.QUAT_ONE, (64, 1))
     for k, norm in enumerate([1.0, 1e6, 1e-3, 1.0]):
         r = _bianchi(400 + k, norm=norm)
         tol = 1e-14 * (1.0 + np.linalg.norm(r))
         for sign, flip in (("+", 1.0), ("-", -1.0)):
-            got = cones._hopf_values(_fitted_form(r, sign), q1 if sign == "+" else q2)
-            frames = l2._quat_to_rot_batch(q1, q2)
-            np.testing.assert_allclose(got, cones._pair_values(r, frames, flip), rtol=0, atol=tol)
-            moved = l2._quat_to_rot_batch(q1, other) if sign == "+" else l2._quat_to_rot_batch(other, q2)
-            np.testing.assert_allclose(got, cones._pair_values(r, moved, flip), rtol=0, atol=tol)
+            got = cones._sphere_scores(_fitted_form(r, sign) * cones._SPHERE_SCALE, w)
+            for idle in (ident, other):
+                q1, q2 = (moving, idle) if sign == "+" else (idle, moving)
+                frames = l2._quat_to_rot_batch(q1, q2)
+                np.testing.assert_allclose(got, cones._pair_values(r, frames, flip), rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("w0", [-1.0, -0.0, 0.0, 1.0])
+def test_lift_is_a_unit_quaternion_over_its_point(w0):
+    # h(q) = (w0, w1/2, w2/2) and |q| = 1 on both charts, at the poles, on
+    # either zero of the chart switch, and at random points of S^2
+    rng = np.random.default_rng(int(w0 + 2.0))
+    t = rng.uniform(0.0, 2.0 * np.pi, 64)
+    rho = math.sqrt(1.0 - w0 * w0)
+    w = np.vstack([np.full(64, w0), rho * np.cos(t), rho * np.sin(t)])
+    w = np.hstack([w, l2._sphere_rows(rng, 2000)])
+    q = _lifted(w)
+    assert np.abs(np.einsum("na,na->n", q, q) - 1.0).max() <= 1e-15
+    np.testing.assert_allclose(cones._hopf(q), w * [[1.0], [0.5], [0.5]], rtol=0, atol=1e-15)
+    # each chart's row normalized bit for bit as _unit_rows normalizes it
+    a, b, c = w
+    zero = np.zeros_like(a)
+    x = np.where((a >= 0.0)[:, None], np.column_stack([1.0 + a, zero, -c, b]),
+                 np.column_stack([-c, b, 1.0 - a, zero]))
+    assert np.array_equal(q, l2._unit_rows(x))
 
 
 def _reference_draw(sign, samples, seed):
-    # The sampler's stream: the moving factor's samples in one draw, then one
-    # idle draw, as the (q1, q2) rows of every sampled frame.
-    rng = np.random.default_rng(seed)
-    moving = l2.haar_quaternions(rng, samples)
-    idle = np.repeat(l2.haar_quaternions(rng, 1), samples, axis=0)
+    # The sampler's stream: one full draw of `samples` points of S^2, every
+    # one lifted, with the identity as the idle factor, as the (q1, q2) rows
+    # of every sampled frame.
+    moving = _lifted(l2._sphere_rows(np.random.default_rng(seed), samples))
+    idle = np.tile(l2.QUAT_ONE, (samples, 1))
     return (moving, idle) if sign == "+" else (idle, moving)
 
 
@@ -453,8 +484,8 @@ def test_unpolished_value_is_the_best_sampled_frame():
 
 
 def _reference_best_sample(r, sign, samples, seed):
-    # Reference: every frame of one full haar_quaternions draw evaluated by
-    # _pair_values.  Returns the best frame, its value read from that frame
+    # Reference: every frame of one full lifted _sphere_rows draw evaluated
+    # by _pair_values.  Returns the best frame, its value read from that frame
     # alone, and whether the best value is clear of the next one by
     # 1e-12 (1 + |R|).
     q1, q2 = _reference_draw(sign, samples, seed)
@@ -468,8 +499,8 @@ def _reference_best_sample(r, sign, samples, seed):
 
 def _sampled_frame(r, sign, samples, seed):
     # The best sample's frame and its value, as min_isotropic builds them.
-    moving, idle = cones._best_sample(cones._quartic_form(r, sign), samples, seed)
-    g = cones._frame(sign, moving, idle)
+    moving = cones._best_sample(cones._quartic_form(r, sign), samples, seed)
+    g = cones._frame(sign, moving, l2.QUAT_ONE)
     return g[0], float(cones._pair_values(r, g, cones._FLIPS[sign])[0])
 
 
@@ -489,18 +520,32 @@ def test_blocked_best_sample_equals_one_full_draw(samples):
 
 
 @pytest.mark.parametrize("samples", [1, 1023, 1024, 1025, 4096])
-def test_best_sample_draws_the_moving_factor_then_one_idle_draw(samples):
-    # the stream holds every sample first, then one idle draw; the winner is
-    # one sampled row with its haar_quaternions bits, the first on a tie
+def test_best_sample_draws_the_moving_factor_then_one_idle_draw(samples, monkeypatch):
+    # the stream holds the moving factor's `samples` uniform pairs, drawn in
+    # lambda2.HAAR_BLOCK-row blocks from one generator, and nothing else:
+    # the idle factor is the identity and takes no draw.  The winner is the
+    # lift of one sampled point with its bits, the first on a tie.
+    sphere_rows, blocks = l2._sphere_rows, []
+
+    def recorded(rng, n):
+        blocks.append((rng, n))
+        return sphere_rows(rng, n)
+
+    monkeypatch.setattr(l2, "_sphere_rows", recorded)
+    lifted = _lifted(sphere_rows(np.random.default_rng(samples), samples))
+    after = np.random.default_rng(samples)
+    after.random((samples, 2))
     r = _bianchi(610, norm=1.0)
     for k in (cones._quartic_form(r, "+"), cones._quartic_form(r, "-"), np.zeros((10, 10))):
-        moving, idle = cones._best_sample(k, samples, samples)
-        rng = np.random.default_rng(samples)
-        draw = l2.haar_quaternions(rng, samples)
-        assert (draw == moving).all(axis=1).any()
-        assert np.array_equal(idle, l2.haar_quaternions(rng, 1)[0])
+        blocks.clear()
+        moving = cones._best_sample(k, samples, samples)
+        sizes = [min(l2.HAAR_BLOCK, samples - s) for s in range(0, samples, l2.HAAR_BLOCK)]
+        assert [n for _, n in blocks] == sizes
+        assert all(rng is blocks[0][0] for rng, _ in blocks)
+        assert blocks[0][0].bit_generator.state == after.bit_generator.state
+        assert (lifted == moving).all(axis=1).any()
     # the zero form ties every sample, across blocks too, and the first wins
-    assert np.array_equal(moving, draw[0])
+    assert np.array_equal(moving, lifted[0])
 
 
 # A unit-norm operator shifted to within 1e-6 of the minus boundary whose minus
@@ -593,8 +638,9 @@ def test_the_zero_operator_stops_the_polish_at_once():
     zero = np.zeros((6, 6))
     for sign in ("+", "-"):
         k = cones._quartic_form(zero, sign)
-        moving, idle = cones._best_sample(k, 16, 0)
-        assert cones._pair_values(zero, cones._frame(sign, moving, idle), cones._FLIPS[sign])[0] == 0.0
+        moving = cones._best_sample(k, 16, 0)
+        frame = cones._frame(sign, moving, l2.QUAT_ONE)
+        assert cones._pair_values(zero, frame, cones._FLIPS[sign])[0] == 0.0
         q, *rest = cones._polish_quaternion(zero, cones._quartic_tensor(k), moving)
         assert rest == [0.0, 0, "gradient"]
         assert np.array_equal(q, moving)
@@ -632,24 +678,23 @@ def _iso_frames_pool(n):
 
 
 def _polish_starts():
-    # (r, sign, C, moving, idle, seed) of the polish's stress operators and
-    # the iso_frames pool, each from its best of 4096 samples
+    # (r, sign, C, moving, seed) of the polish's stress operators and the
+    # iso_frames pool, each from its best of 4096 samples
     stress = [(r, sign) for r in _tie_operators() + _kernel_operators() for sign in "+-"]
     stress.append((_SLOW_MINUS, "-"))
     for k, (r, sign) in enumerate(stress + _iso_frames_pool(64)):
         kf = cones._quartic_form(r, sign)
-        moving, idle = cones._best_sample(kf, 4096, k)
-        yield r, sign, cones._quartic_tensor(kf), moving, idle, k
+        yield r, sign, cones._quartic_tensor(kf), cones._best_sample(kf, 4096, k), k
 
 
 def test_polish_reports_its_stop_and_never_reaches_the_cap():
-    for r, sign, c, moving, idle, seed in _polish_starts():
+    for r, sign, c, moving, seed in _polish_starts():
         f0 = float(cones._tensor_values(c, moving[None])[1][0])
         q, fval, steps, stop = cones._polish_quaternion(r, c, moving)
-        assert stop in ("gradient", "no_descent")
+        assert stop in ("gradient", "rounding")
         assert steps <= 30
         assert fval <= f0
-        frame = cones._frame(sign, q, idle)
+        frame = cones._frame(sign, q, l2.QUAT_ONE)
         got = float(cones._pair_values(r, frame, cones._FLIPS[sign])[0])
         assert got == cones.min_isotropic(r, sign, samples=4096, seed=seed)
 
@@ -666,7 +711,8 @@ def _reference_newton_step(grad, hess, tol):
 def _reference_polish(r, c, q):
     # Reference route for cones._polish_quaternion: the same descent with the
     # derivatives from the full 4x4 Hessian 12 H - 4 f I projected on the
-    # tangent basis E, and each step from _reference_newton_step.
+    # tangent basis E, each step from _reference_newton_step, and the same
+    # stops.
     scale = float(cv._norm(r))
     h, f = cones._tensor_values(c, q[None])
     h, fval = h[0], float(f[0])
@@ -675,10 +721,13 @@ def _reference_polish(r, c, q):
         hm = h.reshape(4, 4)
         grad = 4.0 * (e.T @ (hm @ q))
         hess = e.T @ (12.0 * hm - 4.0 * fval * np.eye(4)) @ e
-        tol = 1e-11 * (scale + abs(fval))
+        size = scale + abs(fval)
+        tol = 1e-11 * size
         if float(cv._norm(grad)) <= tol:
             return q, fval, step, "gradient"
         d = _reference_newton_step(grad, hess, tol)
+        if 0.5 * abs(float((grad / size) @ d)) <= cones.ROUNDING_STOP:
+            return q, fval, step, "rounding"
         trials = l2._unit_rows(q + cones._LINE_STEPS[:, None] * (e @ d))
         hs, vals = cones._tensor_values(c, trials)
         passed = np.flatnonzero(vals < fval + 1e-4 * cones._LINE_STEPS * float(grad @ d))
@@ -738,12 +787,35 @@ def test_newton_step_is_the_eigh_step():
 
 
 def test_polish_matches_the_eigh_reference_route():
-    for r, sign, c, moving, _, _ in _polish_starts():
+    for r, sign, c, moving, _ in _polish_starts():
         _, fval, steps, stop = cones._polish_quaternion(r, c, moving)
-        _, want, want_steps, _ = _reference_polish(r, c, moving)
-        assert stop in ("gradient", "no_descent")
+        _, want, want_steps, want_stop = _reference_polish(r, c, moving)
+        assert stop in ("gradient", "rounding") and want_stop in ("gradient", "rounding")
         assert abs(steps - want_steps) <= 1
         assert abs(fval - want) <= 1e-14 * (1.0 + np.linalg.norm(r))
+
+
+def test_a_converged_polish_stops_at_rounding_not_at_no_descent():
+    # starts a hair off a converged q*, along the polish's tangent basis:
+    # the Newton decrement is at the rounding of f, where the line search
+    # compares noise, so neither route may end as "no_descent", and the two
+    # agree within one step
+    stops = set()
+    for k, (r, sign) in enumerate(_iso_frames_pool(16)):
+        c = cones._quartic_tensor(cones._quartic_form(r, sign))
+        start = l2.haar_quaternions(np.random.default_rng(k), 1)[0]
+        best = cones._polish_quaternion(r, c, start)[0]
+        e = l2._left_mul(best)[:, 2:]
+        for nudge in (1e-9, 1e-8):
+            for t in (0.0, 0.8, 1.6, 2.4):
+                q = l2._unit_rows((best + nudge * (e @ (math.cos(t), math.sin(t))))[None])[0]
+                _, fval, steps, stop = cones._polish_quaternion(r, c, q)
+                _, want, want_steps, want_stop = _reference_polish(r, c, q)
+                assert "no_descent" not in (stop, want_stop), (k, nudge, t)
+                assert abs(steps - want_steps) <= 1
+                assert abs(fval - want) <= 1e-14 * (1.0 + np.linalg.norm(r))
+                stops.add(stop)
+    assert stops == {"gradient", "rounding"}
 
 
 def test_min_isotropic_polish_never_hurts():

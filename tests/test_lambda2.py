@@ -347,9 +347,65 @@ def test_haar_draw_is_component_major_and_the_numpy_row_norm(n):
     v = np.random.default_rng(n).standard_normal((n, 4))
     assert q.shape == (n, 4) and q.flags.f_contiguous and q.T.flags.c_contiguous
     assert np.array_equal(q, v / np.linalg.norm(v, axis=1, keepdims=True))
-    # the raw draw the frame sampler scores: the same stream, component-major
-    raw = l2._gaussian_rows(np.random.default_rng(n), n)
-    assert np.array_equal(raw, v) and raw.flags.f_contiguous
+
+
+def _sphere_moment_error(w):
+    # the worst gap between the degree one, two and four moments of a (3, n)
+    # block of points and those of the uniform measure on S^2: E w = 0,
+    # E w w^T = I/3, E w_a^4 = 1/5 and E w_a^2 w_b^2 = 1/15 for a != b
+    n = w.shape[1]
+    sq = w * w
+    i3 = np.eye(3)
+    return max(np.abs(w.mean(axis=1)).max(), np.abs(w @ w.T / n - i3 / 3.0).max(),
+               np.abs(sq @ sq.T / n - np.where(i3 == 1.0, 1.0 / 5.0, 1.0 / 15.0)).max())
+
+
+class _BentUniforms:
+    # a generator whose uniform pairs pass through f first
+    def __init__(self, seed, f):
+        self.rng, self.f = np.random.default_rng(seed), f
+
+    def random(self, shape):
+        return self.f(self.rng.random(shape))
+
+
+def _half_turn(x):
+    x[:, 1] *= 0.5  # phi in [0, pi)
+    return x
+
+
+def _squared_height(x):
+    x[:, 0] **= 2  # z = 2u^2 - 1
+    return x
+
+
+def test_sphere_rows_have_the_uniform_moments_through_degree_four():
+    # 3/sqrt(n): over the clean seeds 0-999 at this n the worst gap read
+    # 2.18/sqrt(n); the biased draws read 47/sqrt(n) and more
+    n = 20_000
+    bound = 3.0 / np.sqrt(n)
+    for seed in range(10):
+        w = l2._sphere_rows(np.random.default_rng(seed), n)
+        assert np.abs(np.einsum("an,an->n", w, w) - 1.0).max() <= 1e-15
+        assert _sphere_moment_error(w) <= bound, seed
+    for bend in (_half_turn, _squared_height):
+        assert _sphere_moment_error(l2._sphere_rows(_BentUniforms(0, bend), n)) > bound, bend.__name__
+
+
+@pytest.mark.parametrize("n", [1, 1023, 1024, 1025, 4096])
+def test_sphere_rows_are_one_uniform_pair_each_and_blocks_are_the_one_batch_draw(n):
+    # the draw takes n uniform pairs and nothing else, as component-major
+    # rows, and blocks of it concatenate to the one-batch draw
+    rng, want = np.random.default_rng(n), np.random.default_rng(n)
+    w = l2._sphere_rows(rng, n)
+    u, v = want.random((n, 2)).T
+    assert rng.bit_generator.state == want.bit_generator.state
+    assert w.shape == (3, n) and w.flags.c_contiguous
+    assert np.array_equal(w[2], 2.0 * u - 1.0)
+    np.testing.assert_allclose(np.arctan2(w[1], w[0]) % (2.0 * np.pi), 2.0 * np.pi * v, rtol=0, atol=1e-7)
+    blocked = np.random.default_rng(n)
+    sizes = [min(l2.HAAR_BLOCK, n - s) for s in range(0, n, l2.HAAR_BLOCK)]
+    assert np.array_equal(np.hstack([l2._sphere_rows(blocked, k) for k in sizes]), w)
 
 
 def test_monomials_are_rows_for_any_layout():

@@ -50,8 +50,8 @@ def test_kernel_costs_runs(capsys, monkeypatch):
     assert lines[0] == KERNEL_COSTS_HEADER
     assert [row[0] for row in _kernel_cost_rows(lines)] == [
         "min_isotropic(4096)", "min_isotropic(4096,-)", "min_isotropic(4096,unpolished)",
-        "min_isotropic(4096,-,unpolished)", "polish(4096)", "average(5e4)", "gaussian_rows(1024)",
-        "haar_quaternions(1024)", "hopf_values(1024)", "moment(1024)", "invariance_probe(n=8)",
+        "min_isotropic(4096,-,unpolished)", "polish(4096)", "average(5e4)", "sphere_rows(1024)",
+        "haar_quaternions(1024)", "sphere_scores(1024)", "moment(1024)", "invariance_probe(n=8)",
         "integrate(10 steps)", "quadratic(8 operators)", "quadratic(1 operator)",
         "rk4_step(8 operators)", "record(4 steps x 8)", "margins(1 operator)", "margins(32 operators)",
     ]
@@ -122,7 +122,7 @@ def test_ab_bench_writes_its_schema(tmp_path):
         row = summary[m["name"]]
         assert set(row) == {"unit", "better", "parent_median", "parent_q1_q3", "change_median",
                             "change_q1_q3", "change_wins", "pairs", "hl_shift", "sign_test_p",
-                            "aa_rel_diff"}
+                            "aa_rel_diff", "gain_shown"}
         assert (row["unit"], row["better"], row["pairs"]) == (m["unit"], m["better"], 1)
         assert row["change_wins"] in (0, 1) and len(row["parent_q1_q3"]) == 2
         # one pair: its difference is the shift, and a single pair has p = 1
@@ -145,6 +145,21 @@ def test_ab_bench_shift_and_sign_test():
     assert ab._sign_test_p([1.0, -2.0, 3.0, 4.0, 5.0]) == 12.0 / 32.0
     assert ab._sign_test_p([0.0, 0.0]) == 1.0
     assert ab._sign_test_p([1.0, -1.0]) == 1.0
+
+
+def test_ab_bench_gain_shown_is_the_claim_rule():
+    ab = _load("ab_bench")
+    parent = [100.0 + k for k in range(10)]  # q1 = 102.25, q3 = 106.75
+    # 10 of 10 better, but the medians 1.5 apart, inside the IQR of 4.5
+    assert not ab._gain_shown(parent, [p + 1.5 for p in parent], "higher")
+    # 9 of 10 better by 6, beyond the IQR: shown
+    change = [p + 6.0 for p in parent[:9]] + [parent[9] - 1.0]
+    assert ab._gain_shown(parent, change, "higher")
+    # the same shift against the metric's direction is not, nor 8 of 10 by 20
+    assert not ab._gain_shown(parent, change, "lower")
+    eight = [p + 20.0 for p in parent[:8]] + [parent[8] - 1.0, parent[9] - 1.0]
+    assert not ab._gain_shown(parent, eight, "higher")
+    assert ab._gain_shown(parent, [p - 6.0 for p in parent], "lower")
 
 
 def test_golden_outputs_are_reproducible(tmp_path):
